@@ -59,7 +59,7 @@ impl Module for Linear {
 
 impl Layer for Linear {
     fn forward(&self, input: &Var) -> Var {
-        let y = input.matmul(&self.weight.permute(&[1, 0]));
+        let y = input.matmul_nt(&self.weight);
         match &self.bias {
             Some(b) => y.add(b),
             None => y,

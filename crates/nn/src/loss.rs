@@ -31,11 +31,7 @@ pub fn mae_loss(pred: &Var, target: &Var) -> Var {
     });
     let value = Tensor::scalar(diff.abs().mean());
     let d = pred.sub(target);
-    Var::from_op(
-        value,
-        vec![d],
-        Box::new(move |g| vec![sign.mul_scalar(g.item())]),
-    )
+    Var::from_unary_op(value, &d, move |g| sign.mul_scalar(g.item()))
 }
 
 /// Cross-entropy over logits `[B, K]` against class indices (`targets[b] <
@@ -62,24 +58,20 @@ pub fn cross_entropy_loss(logits: &Var, targets: &[usize]) -> Var {
         / b as f32;
     let softmax = value.softmax_lastdim();
     let targets = targets.to_vec();
-    Var::from_op(
-        Tensor::scalar(nll),
-        vec![logits.clone()],
-        Box::new(move |g| {
-            let scale = g.item() / b as f32;
-            let mut grad = softmax.clone();
-            {
-                let data = grad.as_mut_slice();
-                for (row, &cls) in targets.iter().enumerate() {
-                    data[row * k + cls] -= 1.0;
-                }
-                for v in data.iter_mut() {
-                    *v *= scale;
-                }
+    Var::from_unary_op(Tensor::scalar(nll), logits, move |g| {
+        let scale = g.item() / b as f32;
+        let mut grad = softmax.clone();
+        {
+            let data = grad.as_mut_slice();
+            for (row, &cls) in targets.iter().enumerate() {
+                data[row * k + cls] -= 1.0;
             }
-            vec![grad]
-        }),
-    )
+            for v in data.iter_mut() {
+                *v *= scale;
+            }
+        }
+        grad
+    })
 }
 
 /// Binary cross-entropy over logits (any shape) against targets in `[0, 1]`
@@ -98,14 +90,9 @@ pub fn bce_with_logits_loss(logits: &Var, targets: &Var) -> Var {
         .sum();
     let sig = x.sigmoid();
     let y_grad_ref = y.clone();
-    Var::from_op(
-        Tensor::scalar(total / n),
-        vec![logits.clone()],
-        Box::new(move |g| {
-            let scale = g.item() / n;
-            vec![sig.sub(&y_grad_ref).mul_scalar(scale)]
-        }),
-    )
+    Var::from_unary_op(Tensor::scalar(total / n), logits, move |g| {
+        sig.sub(&y_grad_ref).mul_scalar(g.item() / n)
+    })
 }
 
 #[cfg(test)]

@@ -26,7 +26,12 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g| vec![reduce_to_shape(g, &sa), reduce_to_shape(g, &sb)]),
+            Box::new(move |g, need| {
+                vec![
+                    need[0].then(|| reduce_to_shape(g, &sa)),
+                    need[1].then(|| reduce_to_shape(g, &sb)),
+                ]
+            }),
         )
     }
 
@@ -37,8 +42,11 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g| {
-                vec![reduce_to_shape(g, &sa), reduce_to_shape(&g.neg(), &sb)]
+            Box::new(move |g, need| {
+                vec![
+                    need[0].then(|| reduce_to_shape(g, &sa)),
+                    need[1].then(|| reduce_to_shape(&g.neg(), &sb)),
+                ]
             }),
         )
     }
@@ -51,10 +59,10 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g| {
+            Box::new(move |g, need| {
                 vec![
-                    reduce_to_shape(&zip_broadcast(g, &vb, |x, y| x * y), &sa),
-                    reduce_to_shape(&zip_broadcast(g, &va, |x, y| x * y), &sb),
+                    need[0].then(|| reduce_to_shape(&zip_broadcast(g, &vb, |x, y| x * y), &sa)),
+                    need[1].then(|| reduce_to_shape(&zip_broadcast(g, &va, |x, y| x * y), &sb)),
                 ]
             }),
         )
@@ -68,14 +76,15 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g| {
-                let ga = zip_broadcast(g, &vb, |x, y| x / y);
-                let gb_full = {
+            Box::new(move |g, need| {
+                let ga =
+                    need[0].then(|| reduce_to_shape(&zip_broadcast(g, &vb, |x, y| x / y), &sa));
+                let gb = need[1].then(|| {
                     let num = zip_broadcast(g, &va, |x, y| x * y);
                     let den = vb.square();
-                    zip_broadcast(&num, &den, |x, y| -x / y)
-                };
-                vec![reduce_to_shape(&ga, &sa), reduce_to_shape(&gb_full, &sb)]
+                    reduce_to_shape(&zip_broadcast(&num, &den, |x, y| -x / y), &sb)
+                });
+                vec![ga, gb]
             }),
         )
     }
@@ -84,20 +93,12 @@ impl Var {
 
     /// Add a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Var {
-        Var::from_op(
-            self.value().add_scalar(s),
-            vec![self.clone()],
-            Box::new(|g| vec![g.clone()]),
-        )
+        Var::from_unary_op(self.value().add_scalar(s), self, |g| g.clone())
     }
 
     /// Multiply every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Var {
-        Var::from_op(
-            self.value().mul_scalar(s),
-            vec![self.clone()],
-            Box::new(move |g| vec![g.mul_scalar(s)]),
-        )
+        Var::from_unary_op(self.value().mul_scalar(s), self, move |g| g.mul_scalar(s))
     }
 
     /// Elementwise negation.
@@ -108,63 +109,43 @@ impl Var {
     /// Elementwise square.
     pub fn square(&self) -> Var {
         let v = self.value();
-        Var::from_op(
-            v.square(),
-            vec![self.clone()],
-            Box::new(move |g| vec![zip_broadcast(g, &v, |x, y| 2.0 * x * y)]),
-        )
+        Var::from_unary_op(v.square(), self, move |g| {
+            zip_broadcast(g, &v, |x, y| 2.0 * x * y)
+        })
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
         let out = self.value().sqrt();
         let out_c = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![zip_broadcast(g, &out_c, |x, y| 0.5 * x / y)]),
-        )
+        Var::from_unary_op(out, self, move |g| {
+            zip_broadcast(g, &out_c, |x, y| 0.5 * x / y)
+        })
     }
 
     /// Elementwise natural exponential.
     pub fn exp(&self) -> Var {
         let out = self.value().exp();
         let out_c = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![zip_broadcast(g, &out_c, |x, y| x * y)]),
-        )
+        Var::from_unary_op(out, self, move |g| zip_broadcast(g, &out_c, |x, y| x * y))
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
         let v = self.value();
-        Var::from_op(
-            v.relu(),
-            vec![self.clone()],
-            Box::new(move |g| {
-                vec![zip_broadcast(g, &v, |x, y| if y > 0.0 { x } else { 0.0 })]
-            }),
-        )
+        Var::from_unary_op(v.relu(), self, move |g| {
+            zip_broadcast(g, &v, |x, y| if y > 0.0 { x } else { 0.0 })
+        })
     }
 
     /// Leaky rectified linear unit: `x` for positive inputs, `alpha * x`
     /// otherwise. Keeps gradients alive where a plain ReLU would die.
     pub fn leaky_relu(&self, alpha: f32) -> Var {
         let v = self.value();
-        Var::from_op(
+        Var::from_unary_op(
             v.map(move |x| if x > 0.0 { x } else { alpha * x }),
-            vec![self.clone()],
-            Box::new(move |g| {
-                vec![zip_broadcast(g, &v, move |x, y| {
-                    if y > 0.0 {
-                        x
-                    } else {
-                        alpha * x
-                    }
-                })]
-            }),
+            self,
+            move |g| zip_broadcast(g, &v, move |x, y| if y > 0.0 { x } else { alpha * x }),
         )
     }
 
@@ -172,22 +153,18 @@ impl Var {
     pub fn sigmoid(&self) -> Var {
         let out = self.value().sigmoid();
         let out_c = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![zip_broadcast(g, &out_c, |x, y| x * y * (1.0 - y))]),
-        )
+        Var::from_unary_op(out, self, move |g| {
+            zip_broadcast(g, &out_c, |x, y| x * y * (1.0 - y))
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
         let out = self.value().tanh();
         let out_c = out.clone();
-        Var::from_op(
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![zip_broadcast(g, &out_c, |x, y| x * (1.0 - y * y))]),
-        )
+        Var::from_unary_op(out, self, move |g| {
+            zip_broadcast(g, &out_c, |x, y| x * (1.0 - y * y))
+        })
     }
 
     // ---------------------------------------------------------- reductions
@@ -195,11 +172,9 @@ impl Var {
     /// Sum of all elements, as a scalar Var.
     pub fn sum_all(&self) -> Var {
         let shape = self.shape();
-        Var::from_op(
-            Tensor::scalar(self.value().sum()),
-            vec![self.clone()],
-            Box::new(move |g| vec![Tensor::full(&shape, g.item())]),
-        )
+        Var::from_unary_op(Tensor::scalar(self.value().sum()), self, move |g| {
+            Tensor::full(&shape, g.item())
+        })
     }
 
     /// Mean of all elements, as a scalar Var.
@@ -212,13 +187,9 @@ impl Var {
     pub fn sum_axis_keepdim(&self, axis: usize) -> Var {
         let shape = self.shape();
         let value = self.value().sum_axis_keepdim(axis);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                vec![zip_broadcast(g, &Tensor::zeros(&shape), |x, _| x)]
-            }),
-        )
+        Var::from_unary_op(value, self, move |g| {
+            zip_broadcast(g, &Tensor::zeros(&shape), |x, _| x)
+        })
     }
 
     /// Mean along `axis`, keeping it with extent 1.
@@ -233,11 +204,7 @@ impl Var {
     pub fn reshape(&self, shape: &[usize]) -> Var {
         let src_shape = self.shape();
         let value = self.value().reshape(shape);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| vec![g.reshape(&src_shape)]),
-        )
+        Var::from_unary_op(value, self, move |g| g.reshape(&src_shape))
     }
 
     /// Flatten all axes except the leading (batch) axis: `[B, ...] → [B, N]`.
@@ -257,22 +224,16 @@ impl Var {
             inverse[p] = i;
         }
         let value = self.value().permute(&perm_owned);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| vec![g.permute(&inverse)]),
-        )
+        Var::from_unary_op(value, self, move |g| g.permute(&inverse))
     }
 
     /// Slice `[start, end)` along `axis`; gradient scatters back into place.
     pub fn narrow(&self, axis: usize, start: usize, end: usize) -> Var {
         let src_shape = self.shape();
         let value = self.value().narrow(axis, start, end);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| vec![embed_narrow(g, &src_shape, axis, start)]),
-        )
+        Var::from_unary_op(value, self, move |g| {
+            embed_narrow(g, &src_shape, axis, start)
+        })
     }
 
     /// Concatenate along `axis`; gradients split back to each input.
@@ -286,11 +247,11 @@ impl Var {
         Var::from_op(
             value,
             parents,
-            Box::new(move |g| {
+            Box::new(move |g, need| {
                 let mut grads = Vec::with_capacity(extents.len());
                 let mut offset = 0;
-                for &e in &extents {
-                    grads.push(g.narrow(axis, offset, offset + e));
+                for (&e, &n) in extents.iter().zip(need) {
+                    grads.push(n.then(|| g.narrow(axis, offset, offset + e)));
                     offset += e;
                 }
                 grads
@@ -300,15 +261,36 @@ impl Var {
 
     // ------------------------------------------------------------- linalg
 
-    /// 2-D matrix product.
+    /// 2-D matrix product `self [m,k] × other [k,n]`.
     pub fn matmul(&self, other: &Var) -> Var {
         let (va, vb) = (self.value(), other.value());
         let value = va.matmul(&vb);
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
-            Box::new(move |g| {
-                vec![g.matmul(&vb.transpose()), va.transpose().matmul(g)]
+            Box::new(move |g, need| {
+                vec![
+                    need[0].then(|| g.matmul_nt(&vb)),
+                    need[1].then(|| va.matmul_tn(g)),
+                ]
+            }),
+        )
+    }
+
+    /// 2-D product with a transposed right operand, `self [m,k] × otherᵀ`
+    /// for `other [n,k]` (the `Linear` layout: `x Wᵀ` with `W [out,in]`).
+    /// No transpose is materialised in either direction.
+    pub fn matmul_nt(&self, other: &Var) -> Var {
+        let (va, vb) = (self.value(), other.value());
+        let value = va.matmul_nt(&vb);
+        Var::from_op(
+            value,
+            vec![self.clone(), other.clone()],
+            Box::new(move |g, need| {
+                vec![
+                    need[0].then(|| g.matmul(&vb)),
+                    need[1].then(|| g.matmul_tn(&va)),
+                ]
             }),
         )
     }
@@ -316,51 +298,46 @@ impl Var {
     // ----------------------------------------------------------- conv/pool
 
     /// 2-D convolution (`input = self [B,C,H,W]`, `weight [O,C,kh,kw]`).
+    ///
+    /// Backward computes only the gradients its parents need: with a
+    /// constant input (a network's first layer) the per-sample `Wᵀ·g`
+    /// GEMM, its `col2im` scatter and the batch stack are skipped.
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, stride: usize, pad: usize) -> Var {
         let x = self.value();
         let w = weight.value();
         let value = conv2d(&x, &w, bias.map(|b| b.value()).as_ref(), stride, pad);
         let mut parents = vec![self.clone(), weight.clone()];
-        if let Some(b) = bias {
-            parents.push(b.clone());
-        }
-        let has_bias = bias.is_some();
+        parents.extend(bias.cloned());
         Var::from_op(
             value,
             parents,
-            Box::new(move |g| {
+            Box::new(move |g, need| {
                 let _t = geotorch_telemetry::scope!("nn.conv2d_bwd");
                 let (bsz, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
                 let (o, kh, kw) = (w.shape()[0], w.shape()[2], w.shape()[3]);
                 let (oh, ow) = (g.shape()[2], g.shape()[3]);
                 let w_mat = w.reshape(&[o, c * kh * kw]);
-                let w_mat_t = w_mat.transpose();
                 // Per-sample gradients are independent, so fan them out over
                 // the device worker pool; summing the weight-gradient parts
                 // in index order keeps the result identical to a serial loop.
                 let parts = parallel_map(bsz, |bi| {
                     let g_mat = g.index_axis(0, bi).reshape(&[o, oh * ow]);
-                    // grad wrt input: scatter W^T g back through im2col.
-                    let col_g = w_mat_t.matmul(&g_mat);
-                    let gx_part = col2im(&col_g, c, h, wd, kh, kw, stride, pad);
-                    // grad wrt weight: g col^T accumulated over the batch.
-                    let col = im2col(&x.index_axis(0, bi), kh, kw, stride, pad);
-                    (gx_part, g_mat.matmul(&col.transpose()))
+                    // grad wrt input: scatter Wᵀ·g back through im2col.
+                    let gx_part = need[0]
+                        .then(|| col2im(&w_mat.matmul_tn(&g_mat), c, h, wd, kh, kw, stride, pad));
+                    // grad wrt weight: g·colᵀ accumulated over the batch.
+                    let gw_part = need[1].then(|| {
+                        g_mat.matmul_nt(&im2col(&x.index_axis(0, bi), kh, kw, stride, pad))
+                    });
+                    (gx_part, gw_part)
                 });
-                let mut gw = Tensor::zeros(&[o, c * kh * kw]);
-                for (_, gw_part) in &parts {
-                    gw.add_assign(gw_part);
-                }
-                let gx_refs: Vec<&Tensor> = parts.iter().map(|(gx, _)| gx).collect();
-                let gx = Tensor::stack(&gx_refs);
-                let mut grads = vec![gx, gw.reshape(w.shape())];
-                if has_bias {
+                let (gx, gw) = gather_sample_grads(parts, w.shape());
+                let mut grads = vec![gx, gw];
+                if let Some(&need_bias) = need.get(2) {
                     // Sum over batch and spatial axes.
-                    let gb = g
-                        .reshape(&[bsz, o, oh * ow])
-                        .sum_axis(2)
-                        .sum_axis(0);
-                    grads.push(gb);
+                    grads.push(
+                        need_bias.then(|| g.reshape(&[bsz, o, oh * ow]).sum_axis(2).sum_axis(0)),
+                    );
                 }
                 grads
             }),
@@ -379,14 +356,11 @@ impl Var {
         let w = weight.value();
         let value = conv_transpose2d(&x, &w, bias.map(|b| b.value()).as_ref(), stride, pad);
         let mut parents = vec![self.clone(), weight.clone()];
-        if let Some(b) = bias {
-            parents.push(b.clone());
-        }
-        let has_bias = bias.is_some();
+        parents.extend(bias.cloned());
         Var::from_op(
             value,
             parents,
-            Box::new(move |g| {
+            Box::new(move |g, need| {
                 let _t = geotorch_telemetry::scope!("nn.conv_transpose2d_bwd");
                 let (bsz, c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
                 let (o, kh, kw) = (w.shape()[1], w.shape()[2], w.shape()[3]);
@@ -395,30 +369,24 @@ impl Var {
                 // Per-sample gradients fan out over the worker pool, as in
                 // `conv2d`'s backward pass.
                 let parts = parallel_map(bsz, |bi| {
-                    // Forward was: col = w_mat^T x_mat ; y = col2im(col).
-                    // Adjoint: grad_col = im2col(grad_y); grad_x = w_mat grad_col;
-                    // grad_w = x_mat grad_col^T.
-                    let g_img = g.index_axis(0, bi);
-                    let grad_col = im2col(&g_img, kh, kw, stride, pad);
-                    let x_mat = x.index_axis(0, bi).reshape(&[c, h * wd]);
-                    (
-                        w_mat.matmul(&grad_col).reshape(&[c, h, wd]),
-                        x_mat.matmul(&grad_col.transpose()),
-                    )
+                    // Forward was: col = w_matᵀ·x_mat ; y = col2im(col).
+                    // Adjoint: grad_col = im2col(grad_y);
+                    // grad_x = w_mat·grad_col; grad_w = x_mat·grad_colᵀ.
+                    let grad_col = im2col(&g.index_axis(0, bi), kh, kw, stride, pad);
+                    let gx_part = need[0].then(|| w_mat.matmul(&grad_col).reshape(&[c, h, wd]));
+                    let gw_part = need[1].then(|| {
+                        x.index_axis(0, bi)
+                            .reshape(&[c, h * wd])
+                            .matmul_nt(&grad_col)
+                    });
+                    (gx_part, gw_part)
                 });
-                let mut gw_acc = Tensor::zeros(&[c, o * kh * kw]);
-                for (_, gw_part) in &parts {
-                    gw_acc.add_assign(gw_part);
-                }
-                let gx_refs: Vec<&Tensor> = parts.iter().map(|(gx, _)| gx).collect();
-                let gx = Tensor::stack(&gx_refs);
-                let mut grads = vec![gx, gw_acc.reshape(w.shape())];
-                if has_bias {
-                    let gb = g
-                        .reshape(&[bsz, o, gh * gw_sp])
-                        .sum_axis(2)
-                        .sum_axis(0);
-                    grads.push(gb);
+                let (gx, gw) = gather_sample_grads(parts, w.shape());
+                let mut grads = vec![gx, gw];
+                if let Some(&need_bias) = need.get(2) {
+                    grads.push(
+                        need_bias.then(|| g.reshape(&[bsz, o, gh * gw_sp]).sum_axis(2).sum_axis(0)),
+                    );
                 }
                 grads
             }),
@@ -429,33 +397,46 @@ impl Var {
     pub fn maxpool2d(&self, kernel: usize, stride: usize) -> Var {
         let shape = self.shape();
         let (value, argmax) = maxpool2d(&self.value(), kernel, stride);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| vec![maxpool2d_backward(g, &argmax, &shape)]),
-        )
+        Var::from_unary_op(value, self, move |g| maxpool2d_backward(g, &argmax, &shape))
     }
 
     /// 2-D average pooling.
     pub fn avgpool2d(&self, kernel: usize, stride: usize) -> Var {
         let shape = self.shape();
         let value = avgpool2d(&self.value(), kernel, stride);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| vec![avgpool2d_backward(g, kernel, stride, &shape)]),
-        )
+        Var::from_unary_op(value, self, move |g| {
+            avgpool2d_backward(g, kernel, stride, &shape)
+        })
     }
 
     /// Nearest-neighbour upsampling by an integer factor.
     pub fn upsample_nearest2d(&self, factor: usize) -> Var {
         let value = upsample_nearest2d(&self.value(), factor);
-        Var::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| vec![upsample_nearest2d_backward(g, factor)]),
-        )
+        Var::from_unary_op(value, self, move |g| upsample_nearest2d_backward(g, factor))
     }
+}
+
+/// Combine per-sample `(input, weight)` gradient parts of a conv
+/// backward: input parts stack along a new batch axis, weight parts sum
+/// onto zeros in sample order (so the result matches a serial loop) and
+/// take the weight's shape. A side whose parts are all `None` stays
+/// `None`.
+fn gather_sample_grads(
+    parts: Vec<(Option<Tensor>, Option<Tensor>)>,
+    w_shape: &[usize],
+) -> (Option<Tensor>, Option<Tensor>) {
+    let (gx_parts, gw_parts): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    let gx_parts: Vec<Tensor> = gx_parts.into_iter().flatten().collect();
+    let gx = (!gx_parts.is_empty()).then(|| Tensor::stack(&gx_parts.iter().collect::<Vec<_>>()));
+    let gw = gw_parts
+        .into_iter()
+        .flatten()
+        .fold(None, |acc: Option<Tensor>, part| {
+            let mut acc = acc.unwrap_or_else(|| Tensor::zeros(part.shape()));
+            acc.add_assign(&part);
+            Some(acc)
+        });
+    (gx, gw.map(|gw| gw.reshape(w_shape)))
 }
 
 /// Place `grad` (the gradient of a narrow) back into a zero tensor of the

@@ -42,8 +42,11 @@ pub fn is_no_grad() -> bool {
 }
 
 /// Computes gradients for a node's parents given the node's output
-/// gradient. Returns one tensor per parent, in parent order.
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor>>;
+/// gradient and, per parent, whether that parent needs one. Returns one
+/// entry per parent, in parent order: `Some` exactly for the parents
+/// that need a gradient, `None` for the rest (nothing is computed for
+/// them).
+pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[bool]) -> Vec<Option<Tensor>>>;
 
 pub(crate) struct VarInner {
     id: usize,
@@ -79,7 +82,7 @@ impl Var {
         }
     }
 
-    /// A leaf that does not require gradients (inputs, labels, masks).
+    /// A leaf that needs no gradient (inputs, labels, masks).
     pub fn constant(value: Tensor) -> Var {
         Var::make(value, false, Vec::new(), None)
     }
@@ -89,16 +92,31 @@ impl Var {
         Var::make(value, true, Vec::new(), None)
     }
 
-    /// Internal: an op result node. Under [`no_grad`] the tape entry is
+    /// Internal: an op result node. It needs a gradient when any parent
+    /// does. When none does, or under [`no_grad`], the tape entry is
     /// elided — the result is a plain leaf with no parents and no
     /// backward closure.
     pub(crate) fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
-        if is_no_grad() {
+        if is_no_grad() || !parents.iter().any(Var::requires_grad) {
             drop(parents);
             drop(backward);
             return Var::make(value, false, Vec::new(), None);
         }
-        Var::make(value, false, parents, Some(backward))
+        Var::make(value, true, parents, Some(backward))
+    }
+
+    /// Internal: a single-parent op result. The tape is only recorded
+    /// when the parent needs a gradient, so `backward` always runs.
+    pub(crate) fn from_unary_op(
+        value: Tensor,
+        parent: &Var,
+        backward: impl Fn(&Tensor) -> Tensor + 'static,
+    ) -> Var {
+        Var::from_op(
+            value,
+            vec![parent.clone()],
+            Box::new(move |g, _| vec![Some(backward(g))]),
+        )
     }
 
     /// Stable identity of this node.
@@ -121,7 +139,9 @@ impl Var {
         self.inner.borrow().grad.clone()
     }
 
-    /// Whether gradients accumulate at this leaf.
+    /// Whether this node needs a gradient: parameters do, and so does
+    /// every op result with a parent that does. Backward never computes
+    /// or stores a gradient for a node that does not.
     pub fn requires_grad(&self) -> bool {
         self.inner.borrow().requires_grad
     }
@@ -173,6 +193,9 @@ impl Var {
     ///
     /// The node is seeded with a gradient of ones (so for scalar losses this
     /// computes ∂loss/∂p for every parameter `p` reachable on the tape).
+    /// Parents that need no gradient (constants, detached values) are
+    /// skipped: their backward terms are never computed and their
+    /// `grad()` stays `None`.
     /// Gradients *accumulate*: call [`Var::zero_grad`] (or
     /// `Optimizer::zero_grad`) between steps.
     pub fn backward(&self) {
@@ -213,7 +236,7 @@ impl Var {
             match next_child {
                 Some(child) => {
                     stack.push((node, child_idx + 1));
-                    if visited.insert(child.id()) {
+                    if child.requires_grad() && visited.insert(child.id()) {
                         stack.push((child, 0));
                     }
                 }
@@ -249,9 +272,10 @@ impl Var {
             if !has_backward {
                 continue;
             }
+            let needs: Vec<bool> = parents.iter().map(Var::requires_grad).collect();
             let parent_grads = {
                 let inner = node.inner.borrow();
-                (inner.backward.as_ref().expect("checked above"))(&grad)
+                (inner.backward.as_ref().expect("checked above"))(&grad, &needs)
             };
             assert_eq!(
                 parent_grads.len(),
@@ -260,7 +284,13 @@ impl Var {
                 parent_grads.len(),
                 parents.len()
             );
-            for (parent, pg) in parents.iter().zip(parent_grads) {
+            for ((parent, pg), need) in parents.iter().zip(parent_grads).zip(needs) {
+                assert_eq!(
+                    pg.is_some(),
+                    need,
+                    "backward must return a gradient exactly for the parents that need one"
+                );
+                let Some(pg) = pg else { continue };
                 let mut pi = parent.inner.borrow_mut();
                 assert_eq!(
                     pi.value.shape(),
@@ -412,6 +442,33 @@ mod tests {
         let caught = std::panic::catch_unwind(|| no_grad(|| panic!("boom")));
         assert!(caught.is_err());
         assert!(!is_no_grad(), "flag restored even when the closure panics");
+    }
+
+    #[test]
+    fn constants_only_graph_records_no_tape() {
+        let a = Var::constant(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let b = Var::constant(Tensor::from_vec(vec![3.0, 4.0], &[2]));
+        let y = a.mul(&b).add(&a).sum_all();
+        assert!(!y.requires_grad());
+        assert!(y.inner.borrow().parents.is_empty());
+        assert!(y.inner.borrow().backward.is_none());
+        y.backward();
+        assert!(a.grad().is_none() && b.grad().is_none());
+    }
+
+    #[test]
+    fn constant_parent_gets_no_gradient() {
+        let w = Var::parameter(Tensor::from_vec(vec![2.0, 3.0], &[2]));
+        let x = Var::constant(Tensor::from_vec(vec![4.0, 5.0], &[2]));
+        let y = w.mul(&x);
+        assert!(y.requires_grad());
+        assert_eq!(y.inner.borrow().parents.len(), 2);
+        y.sum_all().backward();
+        assert_eq!(w.grad().unwrap().as_slice(), &[4.0, 5.0]);
+        assert!(
+            x.grad().is_none(),
+            "constants must not accumulate gradients"
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Finite-difference gradient checks for MaxPool, BatchNorm2d (train and
-//! eval), ConvLSTM and the conv2d lowerings (im2col, direct
+//! eval), Linear, LSTM, ConvLSTM and the conv2d lowerings (im2col, direct
 //! large-plane 3×3/stride-1, and implicit-GEMM 1×1), run under both `Device::Cpu` and
 //! `Device::Parallel(4)` so the parallel kernel paths are verified against
 //! the same numeric gradients as the serial ones.
 
 use geotorch_nn::gradcheck::assert_gradients_close;
-use geotorch_nn::layers::{BatchNorm2d, Conv2d, ConvLstmCell, MaxPool2d};
+use geotorch_nn::layers::{BatchNorm2d, Conv2d, ConvLstmCell, Linear, LstmCell, MaxPool2d};
 use geotorch_nn::{Layer, Module, Var};
 use geotorch_tensor::{with_device, Device, Tensor};
 use rand::rngs::StdRng;
@@ -159,6 +159,55 @@ fn convlstm_gradients_both_devices() {
                     let (h, c) = cell.zero_state(1, 4, 4);
                     let (h, c) = cell.step(&Var::constant(x0.clone()), (&h, &c));
                     let (h, _) = cell.step(&Var::constant(x1.clone()), (&h, &c));
+                    h.square().mean_all()
+                },
+                1e-2,
+                2e-2,
+            );
+        });
+    }
+}
+
+#[test]
+fn linear_gradients_both_devices() {
+    // 7×40 by 60×40ᵀ is just past the tiny-product cutoff, so the
+    // forward (`x·Wᵀ`) and both backward GEMMs (`g·W`, `gᵀ·x`) take the
+    // packed strided-operand path with ragged MR/NR tiles. Input,
+    // weight and bias are all checked.
+    for device in DEVICES {
+        with_device(device, || {
+            let mut rng = StdRng::seed_from_u64(17);
+            let layer = Linear::new(40, 60, &mut rng);
+            let x = Var::parameter(Tensor::rand_uniform(&[7, 40], -1.0, 1.0, &mut rng));
+            let mut params = vec![x];
+            params.extend_from_slice(&layer.parameters());
+            assert_gradients_close(
+                &params,
+                |p| layer.forward(&p[0]).square().mean_all(),
+                1e-2,
+                2e-2,
+            );
+        });
+    }
+}
+
+#[test]
+fn lstm_gradients_both_devices() {
+    for device in DEVICES {
+        with_device(device, || {
+            let mut rng = StdRng::seed_from_u64(18);
+            let cell = LstmCell::new(3, 4, &mut rng);
+            let xs: Vec<Tensor> = (0..3)
+                .map(|_| Tensor::rand_uniform(&[2, 3], -1.0, 1.0, &mut rng))
+                .collect();
+            // Three steps, so `h·W_hhᵀ` carries gradient back through time.
+            assert_gradients_close(
+                &cell.parameters(),
+                |_| {
+                    let (mut h, mut c) = cell.zero_state(2);
+                    for x in &xs {
+                        (h, c) = cell.step(&Var::constant(x.clone()), (&h, &c));
+                    }
                     h.square().mean_all()
                 },
                 1e-2,

@@ -414,8 +414,8 @@ pub fn conv_transpose2d(
         out_h > 2 * pad && out_w > 2 * pad,
         "conv_transpose2d padding {pad} too large for output {out_h}x{out_w}"
     );
-    // [C, O*kh*kw]^T × [C, H*W] = [O*kh*kw, H*W], then scatter with col2im.
-    let w_mat = weight.reshape(&[c, o * kh * kw]).transpose();
+    // [C, O*kh*kw]ᵀ × [C, H*W] = [O*kh*kw, H*W], then scatter with col2im.
+    let w_mat = weight.reshape(&[c, o * kh * kw]);
     let final_h = out_h - 2 * pad;
     let final_w = out_w - 2 * pad;
     let per_img = o * final_h * final_w;
@@ -423,7 +423,7 @@ pub fn conv_transpose2d(
     let out_ptr = SendPtr(out.as_mut_ptr());
     parallel_for(b, |bi| {
         let x_mat = input.index_axis(0, bi).reshape(&[c, h * w]);
-        let col = w_mat.matmul(&x_mat); // [O*kh*kw, H*W]
+        let col = w_mat.matmul_tn(&x_mat); // [O*kh*kw, H*W]
         // The input positions are conv-output positions of the result:
         // col2im over the *final* image with the same stride/pad recovers it.
         let img = col2im(&col, o, final_h, final_w, kh, kw, stride, pad);

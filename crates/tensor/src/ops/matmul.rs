@@ -2,9 +2,15 @@
 //!
 //! # The packed, cache-blocked GEMM
 //!
-//! [`Tensor::matmul`] runs a BLIS-style blocked kernel instead of a
-//! plain loop nest:
+//! [`Tensor::matmul`], [`Tensor::matmul_nt`] (`A·Bᵀ`) and
+//! [`Tensor::matmul_tn`] (`Aᵀ·B`) share one BLIS-style blocked kernel
+//! instead of a plain loop nest:
 //!
+//! * **Strided operands.** The kernel reads `A` and `B` through a
+//!   (row stride, column stride) view, so a transposed operand is the
+//!   same buffer with its strides swapped. Packing copies every operand
+//!   anyway, so reading one transposed costs nothing extra and no
+//!   transposed copy is ever materialised.
 //! * **Packing.** For each `KC`-deep panel, slices of `A` and `B` are
 //!   repacked into contiguous, microkernel-ordered tiles ([`pack_a`] /
 //!   [`pack_b`]) allocated from the tensor buffer pool — steady-state
@@ -19,6 +25,10 @@
 //!   fused multiply-adds per row), AVX without FMA, or a portable
 //!   half-tile kernel the autovectorizer lowers to SSE. All variants
 //!   share the packed layout.
+//! * **Edge tiles.** A ragged `mr×nr` tile at the bottom or right edge of
+//!   `C` runs the tier's *unfused* full kernel (AVX on both AVX tiers,
+//!   portable otherwise) on a zero-padded `MR×NR` scratch tile, then
+//!   copies the valid corner back.
 //! * **Parallelism.** Products past [`GEMM_PARALLEL_FLOPS`] split the
 //!   longer output axis into microkernel-aligned bands, one
 //!   [`parallel_for`] task per band, so `Device::Parallel` distributes
@@ -31,11 +41,16 @@
 //! and stored back, so `KC` panel boundaries do not reassociate the
 //! sum). Rust never enables floating-point contraction on its own, so
 //! the only rounding difference against the retained [`matmul_naive`]
-//! oracle is the FMA microkernel's fused rounding. On inputs whose
+//! oracle is the FMA microkernel's fused rounding, and that kernel only
+//! ever sees full tiles: edge tiles, and therefore every product with
+//! `m < MR`, round exactly like the oracle on any input. On inputs whose
 //! products and partial sums are exactly representable (the lattice
-//! inputs used by `tests/kernel_oracle.rs`) every variant is therefore
+//! inputs used by `tests/kernel_oracle.rs`) every variant is
 //! **bit-identical** to the oracle; on arbitrary inputs the deltas stay
-//! within ordinary mul+add rounding of the same summation order.
+//! within ordinary mul+add rounding of the same summation order. The
+//! strided forms pack the same panels as a product of materialised
+//! transposes, so `a.matmul_nt(&b)` is bit-identical to
+//! `a.matmul(&b.transpose())`, and likewise for `matmul_tn`.
 
 use crate::device::{parallel_for, Device, SendPtr};
 use crate::pool::Buffer;
@@ -71,20 +86,29 @@ impl Tensor {
     /// If either operand is not 2-D or the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let _t = geotorch_telemetry::scope!("tensor.matmul");
-        assert_eq!(self.ndim(), 2, "matmul lhs must be 2-D, got {:?}", self.shape());
-        assert_eq!(other.ndim(), 2, "matmul rhs must be 2-D, got {:?}", other.shape());
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        let (k2, n) = (other.shape()[0], other.shape()[1]);
-        assert_eq!(
-            k, k2,
-            "matmul inner dims differ: {:?} × {:?}",
-            self.shape(),
-            other.shape()
-        );
-        // The kernels accumulate `C += A·B`, so the output starts zeroed.
-        let mut out = crate::pool::alloc_zeroed(m * n);
-        gemm(self.as_slice(), other.as_slice(), &mut out, m, n, k);
-        Tensor::from_vec(out, &[m, n])
+        gemm_into(MatRef::rows(self), MatRef::rows(other))
+    }
+
+    /// `self [m,k] × otherᵀ` for `other [n,k]` → `[m,n]`, without
+    /// materialising the transpose. Bit-identical to
+    /// `self.matmul(&other.transpose())`.
+    ///
+    /// # Panics
+    /// If either operand is not 2-D or the inner dimensions differ.
+    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        let _t = geotorch_telemetry::scope!("tensor.matmul");
+        gemm_into(MatRef::rows(self), MatRef::cols(other))
+    }
+
+    /// `selfᵀ × other` for `self [k,m]`, `other [k,n]` → `[m,n]`, without
+    /// materialising the transpose. Bit-identical to
+    /// `self.transpose().matmul(other)`.
+    ///
+    /// # Panics
+    /// If either operand is not 2-D or the inner dimensions differ.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        let _t = geotorch_telemetry::scope!("tensor.matmul");
+        gemm_into(MatRef::cols(self), MatRef::rows(other))
     }
 
     /// Dot product of two 1-D tensors.
@@ -116,6 +140,66 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(out, &[m, n])
+}
+
+/// A read-only strided view of a `rows × cols` matrix: element `(i, j)`
+/// lives at `data[i·rs + j·cs]`. A row-major `[r, c]` tensor is
+/// `(rs, cs) = (c, 1)`; the same tensor read as its transpose is `(1, c)`.
+#[derive(Clone, Copy)]
+struct MatRef<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// A row-major 2-D tensor as stored.
+    fn rows(t: &'a Tensor) -> Self {
+        assert_eq!(t.ndim(), 2, "matmul operands must be 2-D, got {:?}", t.shape());
+        let (rows, cols) = (t.shape()[0], t.shape()[1]);
+        MatRef {
+            data: t.as_slice(),
+            rows,
+            cols,
+            rs: cols,
+            cs: 1,
+        }
+    }
+
+    /// A row-major 2-D tensor read as its transpose.
+    fn cols(t: &'a Tensor) -> Self {
+        let v = MatRef::rows(t);
+        MatRef {
+            rows: v.cols,
+            cols: v.rows,
+            rs: v.cs,
+            cs: v.rs,
+            ..v
+        }
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize, j: usize) -> f32 {
+        self.data[i * self.rs + j * self.cs]
+    }
+}
+
+/// Fresh `[m,n]` tensor holding `A·B`.
+///
+/// # Panics
+/// If the inner dimensions differ.
+fn gemm_into(a: MatRef, b: MatRef) -> Tensor {
+    assert_eq!(
+        a.cols, b.rows,
+        "matmul inner dims differ: [{}, {}] × [{}, {}]",
+        a.rows, a.cols, b.rows, b.cols
+    );
+    // The kernels accumulate `C += A·B`, so the output starts zeroed.
+    let mut out = crate::pool::alloc_zeroed(a.rows * b.cols);
+    gemm(a, b, &mut out);
+    Tensor::from_vec(out, &[a.rows, b.cols])
 }
 
 // ------------------------------------------------------------ dispatch
@@ -162,9 +246,11 @@ pub fn simd_kernel_name() -> &'static str {
     }
 }
 
-/// `out[m,n] += a[m,k] × b[k,n]`. `out` must hold `m·n` elements (it is
-/// zeroed by [`Tensor::matmul`], so the net effect there is `A·B`).
-pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
+/// `out[m,n] += A·B` for strided views `A [m,k]`, `B [k,n]`. `out` is
+/// row-major with row stride `n` (zeroed by [`gemm_into`], so the net
+/// effect there is `A·B`).
+fn gemm(a: MatRef, b: MatRef, out: &mut [f32]) {
+    let (m, n, k) = (a.rows, b.cols, a.cols);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -200,14 +286,19 @@ pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k:
 
 /// Tiny-product path: plain `ipj` accumulation, no packing. Same
 /// per-element accumulation order as the blocked path and the oracle.
-fn gemm_tiny(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                *o += a_ip * b_pj;
+fn gemm_tiny(a: MatRef, b: MatRef, out: &mut [f32], m: usize, n: usize, k: usize) {
+    for (i, out_row) in out.chunks_exact_mut(n).take(m).enumerate() {
+        for p in 0..k {
+            let a_ip = a.at(i, p);
+            if b.cs == 1 {
+                let b_row = &b.data[p * b.rs..][..n];
+                for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
+                    *o += a_ip * b_pj;
+                }
+            } else {
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o += a_ip * b.at(p, j);
+                }
             }
         }
     }
@@ -217,8 +308,8 @@ fn gemm_tiny(a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize, k: usize
 /// Pack buffers come from the tensor pool, so repeated products recycle
 /// them instead of touching the heap.
 fn gemm_block(
-    a: &[f32],
-    b: &[f32],
+    a: MatRef,
+    b: MatRef,
     c: SendPtr<f32>,
     rows: (usize, usize),
     cols: (usize, usize),
@@ -241,11 +332,11 @@ fn gemm_block(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(b, bp, pc, jc, kc, nc, ldc);
+            pack_b(b, bp, pc, jc, kc, nc);
             let mut ic = r0;
             while ic < r1 {
                 let mc = MC.min(r1 - ic);
-                pack_a(a, ap, ic, pc, mc, kc, k);
+                pack_a(a, ap, ic, pc, mc, kc);
                 for jr in (0..nc).step_by(NR) {
                     let nr = NR.min(nc - jr);
                     let pb = &bp[(jr / NR) * (kc * NR)..][..kc * NR];
@@ -272,7 +363,7 @@ fn gemm_block(
                                 _ => mk_portable(pa, pb, kc, ctile, ldc),
                             }
                         } else {
-                            mk_edge(pa, pb, kc, ctile, ldc, mr, nr);
+                            edge_tile(kern, pa, pb, kc, ctile, ldc, (mr, nr));
                         }
                     }
                 }
@@ -287,14 +378,15 @@ fn gemm_block(
 /// Pack `A[ic.., pc..]` (`mc×kc`) into `MR`-row micro-panels laid out
 /// `[row_block][p][r]`, zero-padding the ragged final block so the full
 /// microkernel never reads out of bounds.
-fn pack_a(a: &[f32], ap: &mut [f32], ic: usize, pc: usize, mc: usize, kc: usize, lda: usize) {
+fn pack_a(a: MatRef, ap: &mut [f32], ic: usize, pc: usize, mc: usize, kc: usize) {
     for ib in 0..mc.div_ceil(MR) {
         let dst = &mut ap[ib * kc * MR..][..kc * MR];
+        let i0 = ic + ib * MR;
         let rows = MR.min(mc - ib * MR);
         for p in 0..kc {
             let tile = &mut dst[p * MR..(p + 1) * MR];
             for (r, slot) in tile[..rows].iter_mut().enumerate() {
-                *slot = a[(ic + ib * MR + r) * lda + pc + p];
+                *slot = a.at(i0 + r, pc + p);
             }
             tile[rows..].fill(0.0);
         }
@@ -302,16 +394,65 @@ fn pack_a(a: &[f32], ap: &mut [f32], ic: usize, pc: usize, mc: usize, kc: usize,
 }
 
 /// Pack `B[pc.., jc..]` (`kc×nc`) into `NR`-column micro-panels laid out
-/// `[col_block][p][lane]`, zero-padding ragged lanes.
-fn pack_b(b: &[f32], bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize, ldb: usize) {
+/// `[col_block][p][lane]`, zero-padding ragged lanes. Row-major `B`
+/// copies whole lane runs; a transposed `B` is gathered lane by lane,
+/// which reads each source row contiguously.
+fn pack_b(b: MatRef, bp: &mut [f32], pc: usize, jc: usize, kc: usize, nc: usize) {
     for jb in 0..nc.div_ceil(NR) {
         let dst = &mut bp[jb * kc * NR..][..kc * NR];
+        let j0 = jc + jb * NR;
         let cols = NR.min(nc - jb * NR);
+        if b.cs == 1 {
+            for p in 0..kc {
+                dst[p * NR..p * NR + cols].copy_from_slice(&b.data[(pc + p) * b.rs + j0..][..cols]);
+            }
+        } else {
+            for l in 0..cols {
+                for p in 0..kc {
+                    dst[p * NR + l] = b.at(pc + p, j0 + l);
+                }
+            }
+        }
         for p in 0..kc {
-            let src = &b[(pc + p) * ldb + jc + jb * NR..][..cols];
-            dst[p * NR..p * NR + cols].copy_from_slice(src);
             dst[p * NR + cols..(p + 1) * NR].fill(0.0);
         }
+    }
+}
+
+/// Ragged `mr×nr` edge tile: the valid corner of `C` is copied into a
+/// zero-padded `MR×NR` scratch tile, the tier's *unfused* full kernel
+/// runs on it, and the corner is copied back. The dead rows and lanes
+/// only ever meet the packs' zero padding and are discarded.
+///
+/// Edge tiles must not take the fused kernel: a product with `m < MR`
+/// (a few-channel conv lowered to GEMM) is then all edge tiles and
+/// rounds exactly like the scalar paths it has to agree with.
+fn edge_tile(
+    kern: Simd,
+    pa: &[f32],
+    pb: &[f32],
+    kc: usize,
+    c: *mut f32,
+    ldc: usize,
+    (mr, nr): (usize, usize),
+) {
+    let mut tile = [0.0f32; MR * NR];
+    for (r, row) in tile.chunks_exact_mut(NR).take(mr).enumerate() {
+        // SAFETY: r < mr and nr lanes keep the read inside the valid
+        // corner of the C tile.
+        row[..nr].copy_from_slice(unsafe { std::slice::from_raw_parts(c.add(r * ldc), nr) });
+    }
+    let t = tile.as_mut_ptr();
+    match kern {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX detected at runtime (both AVX tiers have it); the
+        // scratch tile is a full MR×NR tile with row stride NR.
+        Simd::Fma | Simd::Avx => unsafe { mk_avx(pa.as_ptr(), pb.as_ptr(), kc, t, NR) },
+        _ => mk_portable(pa, pb, kc, t, NR),
+    }
+    for (r, row) in tile.chunks_exact(NR).take(mr).enumerate() {
+        // SAFETY: as above.
+        unsafe { std::slice::from_raw_parts_mut(c.add(r * ldc), nr) }.copy_from_slice(&row[..nr]);
     }
 }
 
@@ -403,31 +544,6 @@ fn mk_portable(pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize) {
                 // SAFETY: as above.
                 unsafe { *c.add(r * ldc + off + l) = v };
             }
-        }
-    }
-}
-
-/// Ragged-edge microkernel for partial `mr×nr` tiles. Each valid row
-/// still accumulates a full `NR`-lane stripe (the packed panels are
-/// zero-padded, so the extra lanes are dead work the autovectorizer
-/// keeps in vectors); only the `nr` valid lanes are stored back.
-fn mk_edge(pa: &[f32], pb: &[f32], kc: usize, c: *mut f32, ldc: usize, mr: usize, nr: usize) {
-    for r in 0..mr {
-        let mut acc = [0.0f32; NR];
-        for (l, v) in acc[..nr].iter_mut().enumerate() {
-            // SAFETY: r < mr and l < nr keep the access inside the valid
-            // corner of the C tile.
-            *v = unsafe { *c.add(r * ldc + l) };
-        }
-        for p in 0..kc {
-            let a = pa[p * MR + r];
-            for (v, &bl) in acc.iter_mut().zip(&pb[p * NR..(p + 1) * NR]) {
-                *v += a * bl;
-            }
-        }
-        for (l, &v) in acc[..nr].iter().enumerate() {
-            // SAFETY: as above.
-            unsafe { *c.add(r * ldc + l) = v };
         }
     }
 }

@@ -58,6 +58,7 @@ impl Tensor {
     /// # Panics
     /// If the tensor is not 2-D.
     pub fn transpose(&self) -> Tensor {
+        let _t = geotorch_telemetry::scope!("tensor.transpose");
         assert_eq!(self.ndim(), 2, "transpose requires 2-D, got {:?}", self.shape());
         let (r, c) = (self.shape()[0], self.shape()[1]);
         let src = self.as_slice();
@@ -75,6 +76,7 @@ impl Tensor {
     /// # Panics
     /// If `perm` is not a permutation of `0..ndim`.
     pub fn permute(&self, perm: &[usize]) -> Tensor {
+        let _t = geotorch_telemetry::scope!("tensor.permute");
         let rank = self.ndim();
         assert_eq!(perm.len(), rank, "permute needs {} axes, got {:?}", rank, perm);
         let mut seen = vec![false; rank];

@@ -22,6 +22,12 @@
 //! dimension ≤ 8 (each fused step can contribute at most half an ulp
 //! of the monotone running sum).
 //!
+//! Two contracts hold bit for bit even on random inputs, because they
+//! compare equal accumulation orders with equal rounding: the strided
+//! `matmul_nt`/`matmul_tn` against products of materialised transposes,
+//! and `m < MR` products (all edge tiles, which are never fused)
+//! against the naive oracle.
+//!
 //! Set `GEOTORCH_KERNEL_SEED` to shift every generated input corpus —
 //! CI runs the suite under seeds 1–3.
 
@@ -204,5 +210,80 @@ fn conv_one_by_one_implicit_gemm_bit_identical() {
     for device in [Device::Cpu, Device::parallel()] {
         let got = with_device(device, || conv2d(&input, &weight, Some(&bias), 1, 0));
         assert_eq!(bits(&got), bits(&oracle), "1x1 mismatch on {device:?}");
+    }
+}
+
+/// Random (non-lattice) tensor in [-1, 1]: rounding is visible, so only
+/// an identical accumulation order gives identical bits.
+fn random(shape: &[usize], seed: u64) -> Tensor {
+    let mut rng =
+        rand::rngs::StdRng::seed_from_u64(seed ^ env_seed().wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    Tensor::rand_uniform(shape, -1.0, 1.0, &mut rng)
+}
+
+/// `matmul_nt` / `matmul_tn` read a transposed operand through swapped
+/// strides. They pack the same panels as a product of the materialised
+/// transpose, so on random inputs they match it bit for bit: on the
+/// tiny path, the packed path, across block edges and band splits.
+#[test]
+fn strided_operands_match_materialised_transpose() {
+    let shapes = [
+        (3, 4, 5),                // tiny path
+        (7, 13, 5),               // tiny path, ragged
+        (64, 64, 64),             // packed, full tiles
+        (MC + 1, KC + 3, NR + 1), // crosses MC and KC, ragged tails
+        (1, KC + 1, 1),           // single row and column across KC
+        (2 * MC + 5, 7, NR - 1),  // tall and narrow
+        (MR - 1, 300, NC + 3),    // every tile an edge tile, crosses NC
+        (300, 129, 200),          // row bands on Parallel
+        (40, 70, 1100),           // column bands on Parallel, crosses NC
+    ];
+    for (i, &(m, k, n)) in shapes.iter().enumerate() {
+        let a = random(&[m, k], 300 + i as u64);
+        let b = random(&[k, n], 400 + i as u64);
+        let (at, bt) = (a.transpose(), b.transpose());
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            with_device(device, || {
+                let want = a.matmul(&b);
+                assert_eq!(
+                    bits(&a.matmul_nt(&bt)),
+                    bits(&want),
+                    "matmul_nt on {device:?} at m={m} k={k} n={n}"
+                );
+                assert_eq!(
+                    bits(&at.matmul_tn(&b)),
+                    bits(&want),
+                    "matmul_tn on {device:?} at m={m} k={k} n={n}"
+                );
+            });
+        }
+    }
+}
+
+/// With `m < MR` every tile is an edge tile, and edge tiles run the
+/// unfused kernel on every SIMD tier. Such a product therefore equals
+/// the scalar oracle bit for bit even on random inputs, on whichever
+/// tier this host detects. Thin-channel convs lowered to GEMM rely on
+/// this to agree with the direct conv path.
+#[test]
+fn thin_products_round_like_the_oracle() {
+    let shapes = [
+        (1, 300, 100),
+        (MR - 1, KC + 7, 3 * NR + 5),
+        (2, 2 * KC + 1, NC + 3),
+        (MR - 1, 400, 2000), // column bands on Parallel
+    ];
+    for (i, &(m, k, n)) in shapes.iter().enumerate() {
+        let a = random(&[m, k], 500 + i as u64);
+        let b = random(&[k, n], 600 + i as u64);
+        let oracle = matmul_naive(&a, &b);
+        for device in [Device::Cpu, Device::Parallel(4)] {
+            let got = with_device(device, || a.matmul(&b));
+            assert_eq!(
+                bits(&got),
+                bits(&oracle),
+                "thin product on {device:?} at m={m} k={k} n={n}"
+            );
+        }
     }
 }
