@@ -47,14 +47,15 @@ fn bench_converter(c: &mut Criterion) {
                 bench.iter(|| collect_then_batch(&frame, 256).len());
             },
         );
-        // Batched DF→Tensor conversion on the device worker pool vs serial.
+        // Materialising every batch under each device: batch assembly is
+        // serial, so the two should match.
         for (name, device) in [
-            ("all_batches_cpu", Device::Cpu),
-            ("all_batches_parallel", Device::parallel()),
+            ("collect_batches_cpu", Device::Cpu),
+            ("collect_batches_parallel", Device::parallel()),
         ] {
             group.bench_with_input(BenchmarkId::new(name, rows), &rows, |bench, _| {
                 let rt = RowTransformer::new(256);
-                bench.iter(|| with_device(device, || rt.all_batches(&frame).len()));
+                bench.iter(|| with_device(device, || rt.batches(&frame).collect::<Vec<_>>().len()));
             });
         }
     }

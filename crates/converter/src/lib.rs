@@ -24,7 +24,7 @@
 pub mod stream;
 
 use geotorch_dataframe::{exec, Column, DataFrame, DfError, DfResult, Schema};
-use geotorch_tensor::{parallel_map, Tensor, PARALLEL_THRESHOLD};
+use geotorch_tensor::Tensor;
 
 pub use stream::{
     BatchStream, FrameBatchStream, LoaderError, PrefetchLoader, SpillBatchStream,
@@ -217,8 +217,8 @@ impl RowTransformer {
 
     /// Build the `(features, labels)` batch for rows `[start, end)` of
     /// partition `pi` — the single construction path shared by
-    /// [`RowTransformer::batches`], [`RowTransformer::all_batches`], and
-    /// the [`stream::BatchStream`] implementations, so every consumer
+    /// [`RowTransformer::batches`] and the [`stream::BatchStream`]
+    /// implementations, so every consumer
     /// sees bit-identical batches.
     pub(crate) fn build_batch(
         &self,
@@ -271,30 +271,6 @@ impl RowTransformer {
         self.spans(frame)
             .into_iter()
             .map(move |(pi, start, end)| self.build_batch(frame, pi, start, end))
-    }
-
-    /// Materialise every batch at once — a compatibility wrapper over the
-    /// same span/build path the streaming loaders use. Training and
-    /// evaluation should prefer a [`stream::BatchStream`] (peak memory
-    /// stays one batch instead of the whole dataset); this bulk form
-    /// remains for tests, benchmarks, and small frames, and fans out over
-    /// the tensor device worker pool past `PARALLEL_THRESHOLD` elements.
-    pub fn all_batches(&self, frame: &FormattedFrame) -> Vec<(Tensor, Tensor)> {
-        let _t = geotorch_telemetry::scope!("converter.all_batches");
-        let f_len: usize = frame.feature_shape.iter().product();
-        let l_len: usize = frame.label_shape.iter().product();
-        let spans = self.spans(frame);
-        if frame.num_rows() * (f_len + l_len) >= PARALLEL_THRESHOLD {
-            parallel_map(spans.len(), |i| {
-                let (pi, start, end) = spans[i];
-                self.build_batch(frame, pi, start, end)
-            })
-        } else {
-            spans
-                .into_iter()
-                .map(|(pi, start, end)| self.build_batch(frame, pi, start, end))
-                .collect()
-        }
     }
 }
 
@@ -429,34 +405,5 @@ mod tests {
     #[should_panic(expected = "batch_size must be positive")]
     fn zero_batch_size_panics() {
         RowTransformer::new(0);
-    }
-
-    #[test]
-    fn all_batches_matches_streaming_on_parallel_device() {
-        // Large enough to clear PARALLEL_THRESHOLD and exercise the pool.
-        let n = 4096;
-        let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i * 2) as f64).collect();
-        let y: Vec<i64> = (0..n).map(|i| (i % 3) as i64).collect();
-        let df = DataFrame::from_columns(vec![
-            ("a".into(), Column::F64(a)),
-            ("b".into(), Column::F64(b)),
-            ("y".into(), Column::I64(y)),
-        ])
-        .unwrap()
-        .repartition(4)
-        .unwrap();
-        let fmt = DfFormatter::for_classification(&["a", "b"], &[2], "y").unwrap();
-        let frame = fmt.format(&df).unwrap();
-        let rt = RowTransformer::new(64).with_transform(Box::new(|t| t.mul_scalar(0.5)));
-        let streamed: Vec<_> = rt.batches(&frame).collect();
-        let all = geotorch_tensor::with_device(geotorch_tensor::Device::parallel(), || {
-            rt.all_batches(&frame)
-        });
-        assert_eq!(streamed.len(), all.len());
-        for ((sx, sy), (ax, ay)) in streamed.iter().zip(&all) {
-            assert_eq!(sx, ax);
-            assert_eq!(sy, ay);
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! cover the pipeline:
 //!
 //! - [`FrameBatchStream`] — over an in-memory [`FormattedFrame`]; the
-//!   streaming twin of [`RowTransformer::all_batches`].
+//!   streaming twin of [`RowTransformer::batches`].
 //! - [`SpillBatchStream`] — over a [`SpillStore`] of spilled partitions:
 //!   reads one partition at a time (recycled scratch buffer), formats
 //!   it, batches it, drops it. Peak memory is one partition + one batch,
@@ -72,7 +72,7 @@ pub trait BatchStream: Send {
 // ------------------------------------------------------------- frame
 
 /// Streams an in-memory [`FormattedFrame`] batch by batch — identical
-/// batches, in identical order, to [`RowTransformer::all_batches`].
+/// batches, in identical order, to [`RowTransformer::batches`].
 pub struct FrameBatchStream {
     rt: Arc<RowTransformer>,
     frame: Arc<FormattedFrame>,
@@ -248,7 +248,7 @@ impl PrefetchLoader {
                         break;
                     }
                     Err(panic) => {
-                        let msg = panic_message(&panic);
+                        let msg = geotorch_telemetry::panic_message(panic);
                         let _ = tx.send(Err(LoaderError::Prefetch(format!(
                             "prefetch thread panicked: {msg}"
                         ))));
@@ -335,16 +335,6 @@ impl Drop for PrefetchLoader {
     }
 }
 
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,11 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_stream_matches_all_batches() {
+    fn frame_stream_matches_batches() {
         let (rt, frame) = frame(22, 3);
         let mut stream = FrameBatchStream::new(Arc::clone(&rt), Arc::clone(&frame));
         let streamed = drain(&mut stream);
-        let all = rt.all_batches(&frame);
+        let all: Vec<_> = rt.batches(&frame).collect();
         assert_eq!(streamed.len(), all.len());
         for ((sx, sy), (ax, ay)) in streamed.iter().zip(&all) {
             assert_eq!(sx, ax);
@@ -411,7 +401,8 @@ mod tests {
         let store = Arc::new(SpillStore::from_frame(&dir, &df).unwrap());
         let fmt = DfFormatter::for_classification(&["a"], &[1], "y").unwrap();
         let rt = Arc::new(RowTransformer::new(8));
-        let in_memory = rt.all_batches(&fmt.format(&df).unwrap());
+        let frame = fmt.format(&df).unwrap();
+        let in_memory: Vec<_> = rt.batches(&frame).collect();
         let mut stream = SpillBatchStream::new(store, fmt, Arc::clone(&rt));
         assert_eq!(stream.total_rows(), Some(rows));
         let streamed = drain(&mut stream);

@@ -15,5 +15,5 @@ pub mod replica;
 pub mod trainer;
 
 pub use delta::{DeltaStore, IntegrateReport, Manifest, PublishReport, TensorVersion};
-pub use replica::{IndexStepSource, StepSource, StreamStepSource, TrainError};
+pub use replica::TrainError;
 pub use trainer::{StopReason, TrainConfig, TrainReport, Trainer, UpdateMode};

@@ -1,34 +1,36 @@
-//! Data-parallel training: K model replicas, per-step gradient
-//! averaging, one shared optimizer — the trainer layer of the
+//! The epoch driver behind every `Trainer::fit_*` entry point: epochs,
+//! the update cadence, validation, early stopping and best-state
+//! restore, with each optimizer step optionally split across K
+//! data-parallel model replicas — the trainer layer of the
 //! `DataSource → Loader → Trainer` seam (DESIGN.md §14).
 //!
 //! # Architecture
 //!
-//! The master thread owns the canonical model, the optimizer, early
-//! stopping, and validation. K replica worker threads each own a private
-//! model instance (the autograd tape is `Rc`-based and cannot cross
-//! threads, so models are built *on* their threads by a `Sync` factory —
-//! the same pattern as the serving batcher's model-owner threads). One
-//! training step is:
+//! The caller's thread owns the canonical model, the optimizer, early
+//! stopping, and validation. Each step is dealt as up to K shards. Slot 0
+//! runs on the caller's thread against the canonical model; slots
+//! 1..K−1 run on scoped worker threads, each with a private model built
+//! once by a `Sync` factory (the autograd tape is `Rc`-based and cannot
+//! cross threads — the same pattern as the serving batcher's model-owner
+//! threads). One training step is:
 //!
-//! 1. master broadcasts its state dict (O(1) `Arc` clones per tensor)
-//!    and deals each replica `r` a shard of `n_r` samples with weight
-//!    `w_r = n_r / N`;
-//! 2. replica `r` forwards its shard, runs `backward` seeded with `w_r`
-//!    (so its gradients arrive pre-scaled), and ships the gradients
-//!    back;
-//! 3. master sums the shard gradients **in replica order**, seeds them
-//!    onto the canonical parameters, and takes one pooled in-place Adam
-//!    step.
+//! 1. the driver sends each worker that has a shard the canonical state
+//!    dict (O(1) `Arc` clones per tensor) and its shard of `n_r` samples
+//!    with weight `w_r = n_r / N`;
+//! 2. every slot forwards its shard and runs `backward` seeded with
+//!    `w_r`, so its gradients are pre-scaled. Slot 0's accumulate in place
+//!    on the canonical parameters; the workers ship theirs back;
+//! 3. the driver adds the worker gradients onto the canonical parameters
+//!    **in slot order** and takes one pooled in-place Adam step.
 //!
-//! # K = 1 bit-identity
+//! # K = 1
 //!
-//! With one replica, `w = n/n = 1.0` exactly, so the seeded backward is
-//! bit-identical to the classic `loss.backward()`; the merge is a
-//! single-term sum; the optimizer sees byte-identical gradients in the
-//! same order. The whole data-parallel machinery therefore reproduces
-//! [`Trainer::fit_loop`]'s trajectory bit-for-bit (asserted in
-//! `tests/replica_parity.rs` down to checkpoint bytes).
+//! With one replica no thread is spawned and no state moves: slot 0's
+//! weight is `n/n = 1.0` exactly, so its seeded backward is
+//! `loss.backward()` on the canonical model. `fit_grid`,
+//! `fit_classifier` and `fit_segmenter` are K = 1 calls into this driver
+//! (`tests/replica_parity.rs` checks them against a reference loop down
+//! to checkpoint bytes).
 //!
 //! # Shard-assignment determinism
 //!
@@ -38,24 +40,23 @@
 //! `(seed, epoch, step, K)`, so reruns are reproducible.
 //!
 //! Non-trainable parameters (batch-norm running statistics) produce no
-//! gradients; the master adopts their post-forward values from the
-//! lowest-numbered replica that ran, which for K = 1 is exactly the
-//! classic trainer's in-place statistics update.
+//! gradients; slot 0's forward updates them in place on the canonical
+//! model, and the workers receive them with the next broadcast.
 
-use std::panic::AssertUnwindSafe;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Instant;
 
 use geotorch_converter::{BatchStream, LoaderError};
-use geotorch_datasets::BatchIndices;
+use geotorch_datasets::{BatchIndices, RasterDataset, StGridDataset};
+use geotorch_models::{GridModel, RasterClassifier};
 use geotorch_nn::loss::mse_loss;
 use geotorch_nn::optim::{Adam, Optimizer};
 use geotorch_nn::{Module, Var};
+use geotorch_telemetry::panic_message;
 use geotorch_tensor::{with_device, Device, Tensor};
 
-use crate::trainer::{
-    empty_report, scale_grads, stamp_host, TrainConfig, TrainReport, Trainer, UpdateMode,
-};
+use crate::trainer::{classifier_loss, grid_loss, TrainConfig, TrainReport, Trainer, UpdateMode};
 use crate::StopReason;
 
 /// Why a data-parallel fit failed.
@@ -63,9 +64,9 @@ use crate::StopReason;
 pub enum TrainError {
     /// The batch source failed (spill read, prefetch fault, …).
     Loader(LoaderError),
-    /// A replica worker failed (panic in the loss, bad state dict, …).
+    /// A replica slot failed (panic in the loss, bad state dict, …).
     Replica {
-        /// Which replica slot failed.
+        /// Which replica slot failed (0 is the caller's thread).
         replica: usize,
         /// What went wrong.
         message: String,
@@ -91,43 +92,32 @@ impl From<LoaderError> for TrainError {
     }
 }
 
+/// A builder of private replica models, called once per worker thread.
+type Factory<'f, M> = &'f (dyn Fn(usize) -> Box<M> + Sync);
+
 /// Per-step work source: deals each step's payloads (one per replica,
 /// with sample counts) until the epoch is exhausted.
-pub trait StepSource<P> {
+pub(crate) trait StepSource<P> {
     /// Reset for epoch `epoch` (rebuild streams, reshuffle indices).
     fn begin_epoch(&mut self, epoch: usize) -> Result<(), TrainError>;
 
-    /// The next step's shards as `(payload, sample_count)` — at most one
-    /// per replica slot, dealt in slot order — or `None` at epoch end.
-    fn next_step(&mut self) -> Result<Option<Vec<(P, usize)>>, TrainError>;
+    /// The next step's shards as `(payload, sample_count)` — at most
+    /// `replicas`, dealt in slot order — or `None` at epoch end.
+    fn next_step(&mut self, replicas: usize) -> Result<Option<Vec<(P, usize)>>, TrainError>;
 }
 
 /// Shards each shuffled batch of sample indices contiguously across
-/// replicas — the data-parallel twin of the classic trainer's
-/// `BatchIndices::shuffled` loop.
-pub struct IndexStepSource<'a> {
+/// replicas and turns every shard into a payload with `materialize` on
+/// the caller's thread, so workers never touch the (non-`Sync`) dataset.
+pub(crate) struct IndexStepSource<'a, P> {
     train_idx: &'a [usize],
     batch_size: usize,
     seed: u64,
-    replicas: usize,
+    materialize: &'a dyn Fn(&[usize]) -> P,
     iter: Option<BatchIndices>,
 }
 
-impl<'a> IndexStepSource<'a> {
-    /// Steps over `train_idx` with `config`'s batch size, seed, and
-    /// replica count.
-    pub fn new(train_idx: &'a [usize], config: &TrainConfig) -> IndexStepSource<'a> {
-        IndexStepSource {
-            train_idx,
-            batch_size: config.batch_size,
-            seed: config.seed,
-            replicas: config.replicas.max(1),
-            iter: None,
-        }
-    }
-}
-
-impl StepSource<Vec<usize>> for IndexStepSource<'_> {
+impl<P> StepSource<P> for IndexStepSource<'_, P> {
     fn begin_epoch(&mut self, epoch: usize) -> Result<(), TrainError> {
         self.iter = Some(BatchIndices::shuffled(
             self.train_idx,
@@ -137,11 +127,8 @@ impl StepSource<Vec<usize>> for IndexStepSource<'_> {
         Ok(())
     }
 
-    fn next_step(&mut self) -> Result<Option<Vec<(Vec<usize>, usize)>>, TrainError> {
-        let Some(iter) = self.iter.as_mut() else {
-            return Ok(None);
-        };
-        let Some(batch) = iter.next() else {
+    fn next_step(&mut self, replicas: usize) -> Result<Option<Vec<(P, usize)>>, TrainError> {
+        let Some(batch) = self.iter.as_mut().and_then(Iterator::next) else {
             self.iter = None;
             return Ok(None);
         };
@@ -149,16 +136,15 @@ impl StepSource<Vec<usize>> for IndexStepSource<'_> {
         // extra sample. Deterministic in (batch, K); empty shards are
         // never dealt (a ragged batch smaller than K uses fewer
         // replicas).
-        let k = self.replicas.min(batch.len()).max(1);
+        let k = replicas.min(batch.len()).max(1);
         let base = batch.len() / k;
         let rem = batch.len() % k;
         let mut shards = Vec::with_capacity(k);
         let mut start = 0;
         for r in 0..k {
             let len = base + usize::from(r < rem);
-            let shard = batch[start..start + len].to_vec();
+            shards.push(((self.materialize)(&batch[start..start + len]), len));
             start += len;
-            shards.push((shard, len));
         }
         Ok(Some(shards))
     }
@@ -166,24 +152,9 @@ impl StepSource<Vec<usize>> for IndexStepSource<'_> {
 
 /// Deals consecutive [`BatchStream`] batches to replica slots: step =
 /// up to K stream batches, one per replica.
-pub struct StreamStepSource<'a> {
+pub(crate) struct StreamStepSource<'a> {
     make: &'a mut dyn FnMut(usize) -> Result<Box<dyn BatchStream>, LoaderError>,
     stream: Option<Box<dyn BatchStream>>,
-    replicas: usize,
-}
-
-impl<'a> StreamStepSource<'a> {
-    /// A source that rebuilds its stream via `make` at each epoch.
-    pub fn new(
-        make: &'a mut dyn FnMut(usize) -> Result<Box<dyn BatchStream>, LoaderError>,
-        config: &TrainConfig,
-    ) -> StreamStepSource<'a> {
-        StreamStepSource {
-            make,
-            stream: None,
-            replicas: config.replicas.max(1),
-        }
-    }
 }
 
 impl StepSource<(Tensor, Tensor)> for StreamStepSource<'_> {
@@ -192,12 +163,15 @@ impl StepSource<(Tensor, Tensor)> for StreamStepSource<'_> {
         Ok(())
     }
 
-    fn next_step(&mut self) -> Result<Option<Vec<((Tensor, Tensor), usize)>>, TrainError> {
+    fn next_step(
+        &mut self,
+        replicas: usize,
+    ) -> Result<Option<Vec<((Tensor, Tensor), usize)>>, TrainError> {
         let Some(stream) = self.stream.as_mut() else {
             return Ok(None);
         };
-        let mut shards = Vec::with_capacity(self.replicas);
-        for _ in 0..self.replicas {
+        let mut shards = Vec::with_capacity(replicas);
+        for _ in 0..replicas {
             match stream.next_batch() {
                 Ok(Some(batch)) => {
                     let n = batch.0.shape()[0];
@@ -223,18 +197,17 @@ impl StepSource<(Tensor, Tensor)> for StreamStepSource<'_> {
     }
 }
 
-/// One dispatched shard of work.
+/// One shard of work for a worker.
 struct Job<P> {
     state: Vec<Tensor>,
     payload: P,
     weight: f32,
 }
 
-/// What a replica returns per job.
+/// What a worker returns per job.
 struct StepOut {
     loss: f32,
     grads: Vec<Option<Tensor>>,
-    state: Vec<Tensor>,
 }
 
 struct RepResult {
@@ -242,13 +215,13 @@ struct RepResult {
     outcome: Result<StepOut, String>,
 }
 
-/// The data-parallel epoch driver. See the module docs for the step
-/// protocol and the K = 1 bit-identity argument.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fit_replicated<M, P>(
+/// The epoch driver. `factory` is `None` for the single-replica entry
+/// points; with a factory the step is split over `config.replicas`
+/// slots. See the module docs for the step protocol.
+pub(crate) fn fit_epochs<M, P>(
     config: &TrainConfig,
     model: &M,
-    factory: &(dyn Fn(usize) -> Box<M> + Sync),
+    factory: Option<Factory<'_, M>>,
     loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
     source: &mut dyn StepSource<P>,
     validate: &mut dyn FnMut() -> f32,
@@ -258,7 +231,7 @@ where
     M: Module + ?Sized,
     P: Send,
 {
-    let k = config.replicas.max(1);
+    let k = factory.map_or(1, |_| config.replicas.max(1));
     let mut optimizer = Adam::new(model.parameters(), config.learning_rate);
     let params = model.parameters();
     let mut report = empty_report();
@@ -267,13 +240,15 @@ where
     let mut stale = 0usize;
     let run: Result<(), TrainError> = std::thread::scope(|scope| {
         let (res_tx, res_rx) = mpsc::channel::<RepResult>();
-        let mut job_txs = Vec::with_capacity(k);
-        for r in 0..k {
-            let (tx, rx) = mpsc::channel::<Job<P>>();
-            job_txs.push(tx);
-            let res_tx = res_tx.clone();
-            let device = config.device;
-            scope.spawn(move || replica_worker(r, device, factory, loss_fn, &rx, &res_tx));
+        let mut job_txs = Vec::with_capacity(k - 1);
+        if let Some(factory) = factory {
+            for r in 1..k {
+                let (tx, rx) = mpsc::channel::<Job<P>>();
+                job_txs.push(tx);
+                let res_tx = res_tx.clone();
+                let device = config.device;
+                scope.spawn(move || replica_worker(r, device, factory, loss_fn, rx, res_tx));
+            }
         }
         drop(res_tx);
         for epoch in 0..config.epochs {
@@ -285,57 +260,81 @@ where
             {
                 let _epoch_t = geotorch_telemetry::scope!("core.trainer.epoch");
                 source.begin_epoch(epoch)?;
-                while let Some(shards) = source.next_step()? {
+                while let Some(shards) = source.next_step(k)? {
                     let n_total: usize = shards.iter().map(|(_, n)| *n).sum();
                     if n_total == 0 {
                         continue;
                     }
-                    let state = model.state_dict();
-                    let mut dealt: Vec<(usize, f32)> = Vec::with_capacity(shards.len());
-                    for (slot, (payload, n)) in shards.into_iter().enumerate() {
-                        let weight = n as f32 / n_total as f32;
-                        job_txs[slot]
-                            .send(Job {
-                                state: state.clone(),
-                                payload,
-                                weight,
-                            })
-                            .map_err(|_| TrainError::Replica {
-                                replica: slot,
-                                message: "replica worker exited before dispatch".into(),
-                            })?;
-                        dealt.push((slot, weight));
+                    let weights: Vec<f32> = shards
+                        .iter()
+                        .map(|(_, n)| *n as f32 / n_total as f32)
+                        .collect();
+                    let mut shards = shards.into_iter();
+                    let (local, _) = shards.next().expect("a step deals at least one shard");
+                    // Workers get their shards first so they overlap with
+                    // slot 0 on this thread.
+                    if weights.len() > 1 {
+                        let state = model.state_dict();
+                        for (slot, ((payload, _), &weight)) in
+                            (1..).zip(shards.zip(&weights[1..]))
+                        {
+                            job_txs[slot - 1]
+                                .send(Job {
+                                    state: state.clone(),
+                                    payload,
+                                    weight,
+                                })
+                                .map_err(|_| TrainError::Replica {
+                                    replica: slot,
+                                    message: "replica worker exited before dispatch".into(),
+                                })?;
+                        }
                     }
-                    let mut outs: Vec<Option<StepOut>> = (0..k).map(|_| None).collect();
-                    for _ in 0..dealt.len() {
+                    let local_loss = catch_unwind(AssertUnwindSafe(|| {
+                        shard_step(model, loss_fn, local, weights[0])
+                    }))
+                    .map_err(|panic| TrainError::Replica {
+                        replica: 0,
+                        message: format!("replica step panicked: {}", panic_message(panic)),
+                    })?;
+                    let mut outs: Vec<Option<StepOut>> = (1..weights.len()).map(|_| None).collect();
+                    for _ in 1..weights.len() {
                         let res = res_rx.recv().map_err(|_| TrainError::Replica {
-                            replica: 0,
+                            replica: 1,
                             message: "all replica workers exited mid-step".into(),
                         })?;
-                        match res.outcome {
-                            Ok(out) => outs[res.replica] = Some(out),
-                            Err(message) => {
-                                return Err(TrainError::Replica {
-                                    replica: res.replica,
-                                    message,
-                                })
-                            }
-                        }
+                        let out = res.outcome.map_err(|message| TrainError::Replica {
+                            replica: res.replica,
+                            message,
+                        })?;
+                        outs[res.replica - 1] = Some(out);
                     }
                     // Weighted step loss: Σ (n_r/N)·loss_r is the
                     // N-sample mean for mean-style losses; with K = 1
-                    // the weight is exactly 1.0.
-                    for (slot, weight) in &dealt {
-                        epoch_loss += weight * outs[*slot].as_ref().expect("recorded").loss;
+                    // the weight is exactly 1.0. Slot 0's gradients are
+                    // already on the canonical parameters; the workers'
+                    // follow in slot order.
+                    epoch_loss += weights[0] * local_loss;
+                    for (out, weight) in outs.into_iter().zip(&weights[1..]) {
+                        let out = out.expect("every dealt slot answered");
+                        epoch_loss += weight * out.loss;
+                        for (p, g) in params.iter().zip(out.grads) {
+                            if let Some(g) = g {
+                                p.seed_grad(g);
+                            }
+                        }
                     }
                     batches += 1;
                     samples += n_total;
-                    merge_step(&params, &outs, &dealt);
                     if config.update_mode == UpdateMode::Incremental {
                         clip_and_step(config, &mut optimizer);
                     }
                 }
                 if config.update_mode == UpdateMode::Cumulative && batches > 0 {
+                    // The epoch accumulated a gradient *sum*; average it so
+                    // the single step matches the magnitude of an
+                    // Incremental step instead of growing with the number
+                    // of batches.
                     scale_grads(optimizer.parameters(), 1.0 / batches as f32);
                     clip_and_step(config, &mut optimizer);
                 }
@@ -382,41 +381,37 @@ where
         // leaks threads or deadlocks.
     });
     run?;
+    // Restore the best-on-validation weights (the paper's protocol
+    // evaluates the converged model, not the last epoch).
     if let Some(state) = best_state {
         model
             .load_state_dict(&state)
             .expect("state dict snapshot of the same model always matches");
     }
-    stamp_host(&mut report);
+    report.host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    report.pool_high_water_bytes = geotorch_tensor::pool::stats().high_water_bytes;
     Ok(report)
 }
 
-/// Merge one step's replica results into the canonical parameters:
-/// gradients summed in replica order (they arrive pre-scaled by
-/// `n_r/N`), gradient-less parameters (running statistics) adopted from
-/// the lowest dispatched replica.
-fn merge_step(params: &[Var], outs: &[Option<StepOut>], dealt: &[(usize, f32)]) {
-    let first = dealt[0].0;
-    for (i, p) in params.iter().enumerate() {
-        let mut total: Option<Tensor> = None;
-        for (slot, _) in dealt {
-            let out = outs[*slot].as_ref().expect("recorded");
-            if let Some(g) = &out.grads[i] {
-                match &mut total {
-                    None => total = Some(g.clone()),
-                    Some(t) => t.add_(g),
-                }
-            }
-        }
-        match total {
-            Some(t) => p.seed_grad(t),
-            None => p.assign(outs[first].as_ref().expect("recorded").state[i].clone()),
-        }
-    }
+/// Forward one shard and run its backward seeded with `weight`, so the
+/// gradients accumulate on `model`'s parameters pre-scaled by `n_r/N`
+/// (`weight = 1.0` is exactly `loss.backward()`). Returns the unweighted
+/// loss. The tape and the payload are dropped on return, before any
+/// optimizer step: graph nodes hold clones of the parameter values, and
+/// while those live the in-place update must copy-on-write every buffer.
+fn shard_step<M: Module + ?Sized, P>(
+    model: &M,
+    loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
+    payload: P,
+    weight: f32,
+) -> f32 {
+    let loss = loss_fn(model, &payload);
+    let value = loss.value();
+    loss.backward_with(Tensor::from_vec(vec![weight; value.len()], value.shape()));
+    value.item()
 }
 
-/// Clip (if configured), step, and clear gradients — the classic
-/// trainer's cadence, verbatim.
+/// Clip (if configured), step, and clear gradients.
 fn clip_and_step(config: &TrainConfig, optimizer: &mut Adam) {
     if let Some(max_norm) = config.gradient_clip {
         geotorch_nn::schedule::clip_grad_norm(optimizer.parameters(), max_norm);
@@ -425,43 +420,54 @@ fn clip_and_step(config: &TrainConfig, optimizer: &mut Adam) {
     optimizer.zero_grad();
 }
 
+/// Replace each parameter's accumulated gradient with `grad * scale`.
+fn scale_grads(params: &[Var], scale: f32) {
+    for p in params {
+        if let Some(g) = p.grad() {
+            let scaled = g.mul_scalar(scale);
+            p.zero_grad();
+            p.seed_grad(scaled);
+        }
+    }
+}
+
+/// An all-zero [`TrainReport`] for an about-to-run fit.
+fn empty_report() -> TrainReport {
+    TrainReport {
+        train_losses: Vec::new(),
+        val_metrics: Vec::new(),
+        epochs_run: 0,
+        epoch_seconds: Vec::new(),
+        samples_per_sec: Vec::new(),
+        stop_reason: StopReason::MaxEpochs,
+        host_cores: 0,
+        pool_high_water_bytes: 0,
+    }
+}
+
 /// A replica worker: build the private model once, then serve jobs until
-/// the master hangs up. Exactly one result is sent per job — panics in
+/// the driver hangs up. Exactly one result is sent per job — panics in
 /// the factory or the loss surface as `Err` results, never a hang.
 fn replica_worker<M, P>(
     replica: usize,
     device: Device,
-    factory: &(dyn Fn(usize) -> Box<M> + Sync),
+    factory: Factory<'_, M>,
     loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
-    jobs: &mpsc::Receiver<Job<P>>,
-    results: &mpsc::Sender<RepResult>,
+    jobs: mpsc::Receiver<Job<P>>,
+    results: mpsc::Sender<RepResult>,
 ) where
     M: Module + ?Sized,
     P: Send,
 {
-    let built = std::panic::catch_unwind(AssertUnwindSafe(|| factory(replica)));
-    let model: Option<Box<M>> = match built {
-        Ok(m) => Some(m),
-        Err(panic) => {
-            let _ = results.send(RepResult {
-                replica,
-                outcome: Err(format!(
-                    "replica factory panicked: {}",
-                    panic_message(&panic)
-                )),
-            });
-            None
-        }
-    };
+    let model = catch_unwind(AssertUnwindSafe(|| factory(replica)))
+        .map_err(|panic| format!("replica factory panicked: {}", panic_message(panic)));
     for job in jobs.iter() {
         let outcome = match &model {
-            None => Err("replica model was never built".to_string()),
-            Some(model) => {
-                std::panic::catch_unwind(AssertUnwindSafe(|| run_job(&**model, loss_fn, device, &job)))
-                    .unwrap_or_else(|panic| {
-                        Err(format!("replica step panicked: {}", panic_message(&panic)))
-                    })
-            }
+            Err(message) => Err(message.clone()),
+            Ok(model) => catch_unwind(AssertUnwindSafe(|| run_job(&**model, loss_fn, device, job)))
+                .unwrap_or_else(|panic| {
+                    Err(format!("replica step panicked: {}", panic_message(panic)))
+                }),
         };
         if results.send(RepResult { replica, outcome }).is_err() {
             break;
@@ -469,175 +475,134 @@ fn replica_worker<M, P>(
     }
 }
 
-fn run_job<M, P>(
+fn run_job<M: Module + ?Sized, P>(
     model: &M,
     loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
     device: Device,
-    job: &Job<P>,
-) -> Result<StepOut, String>
-where
-    M: Module + ?Sized,
-    P: Send,
-{
+    job: Job<P>,
+) -> Result<StepOut, String> {
     with_device(device, || {
         model
             .load_state_dict(&job.state)
             .map_err(|e| format!("broadcast state rejected: {e}"))?;
         model.set_training(true);
-        let params = model.parameters();
-        let loss = loss_fn(model, &job.payload);
-        let value = loss.value();
-        let item = value.item();
-        // Seeding backward with w_r scales every gradient by n_r/N at
-        // the source, so the master's merge is a plain sum. w = 1.0 for
-        // K = 1 makes this bit-identical to `loss.backward()`.
-        let seed = Tensor::from_vec(vec![job.weight; value.len()], value.shape());
-        loss.backward_with(seed);
-        drop(loss);
-        let grads: Vec<Option<Tensor>> = params.iter().map(Var::grad).collect();
-        for p in &params {
-            p.zero_grad();
-        }
-        Ok(StepOut {
-            loss: item,
-            grads,
-            state: model.state_dict(),
-        })
+        let loss = shard_step(model, loss_fn, job.payload, job.weight);
+        let grads = model
+            .parameters()
+            .iter()
+            .map(|p| {
+                let g = p.grad();
+                p.zero_grad();
+                g
+            })
+            .collect();
+        Ok(StepOut { loss, grads })
     })
-}
-
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
 }
 
 // ------------------------------------------------- Trainer entry points
 
-/// [`IndexStepSource`] with a master-side materializer: index shards
-/// become batch payloads *before* dispatch, so replica workers never
-/// touch the (non-`Sync`) dataset.
-type Materializer<'a, P> = Box<dyn FnMut(&[usize]) -> P + 'a>;
-
-struct MaterializedSource<'a, P> {
-    inner: IndexStepSource<'a>,
-    materialize: Materializer<'a, P>,
-}
-
-impl<P> StepSource<P> for MaterializedSource<'_, P> {
-    fn begin_epoch(&mut self, epoch: usize) -> Result<(), TrainError> {
-        self.inner.begin_epoch(epoch)
-    }
-
-    fn next_step(&mut self) -> Result<Option<Vec<(P, usize)>>, TrainError> {
-        Ok(self.inner.next_step()?.map(|shards| {
-            shards
-                .into_iter()
-                .map(|(idx, n)| ((self.materialize)(&idx), n))
-                .collect()
-        }))
-    }
-}
-
-fn classifier_loss(
-    m: &(dyn geotorch_models::RasterClassifier + 'static),
-    batch: &geotorch_datasets::RasterBatchData,
-) -> Var {
-    let x = Var::constant(batch.x.clone());
-    let features = batch.features.clone().map(Var::constant);
-    let logits = m.forward(&x, features.as_ref());
-    geotorch_nn::loss::cross_entropy_loss(&logits, &batch.labels)
-}
-
-fn grid_loss(
-    m: &(dyn geotorch_models::GridModel + 'static),
-    batch: &geotorch_datasets::StBatch,
-) -> Var {
-    let (input, target) = crate::trainer::grid_io(batch);
-    mse_loss(&m.forward(&input), &target)
-}
-
 impl Trainer {
-    /// Data-parallel [`Trainer::fit_classifier`]: `config.replicas`
-    /// model replicas (built per worker thread by `factory`), each batch
-    /// sharded contiguously across them, gradients averaged per step.
-    /// `model` stays canonical — validation, early stopping, and the
-    /// returned weights all live on it. With `replicas = 1` the result
-    /// is bit-identical to [`Trainer::fit_classifier`].
-    ///
-    /// # Errors
-    /// If a replica worker fails (panic in the model's forward, state
-    /// broadcast rejected).
-    pub fn fit_classifier_replicated(
+    /// Fit over shuffled batches of `train_idx`, each materialised by
+    /// `materialize` — the body of every index-driven `fit_*` entry
+    /// point. Without a `factory` the fit runs on one replica.
+    pub(crate) fn fit_indexed<M, P>(
         &self,
-        model: &(dyn geotorch_models::RasterClassifier + 'static),
-        factory: &(dyn Fn(usize) -> Box<dyn geotorch_models::RasterClassifier> + Sync),
-        dataset: &geotorch_datasets::RasterDataset,
+        model: &M,
+        factory: Option<Factory<'_, M>>,
+        loss_fn: &(dyn Fn(&M, &P) -> Var + Sync),
+        materialize: &dyn Fn(&[usize]) -> P,
         train_idx: &[usize],
-        val_idx: &[usize],
-    ) -> Result<TrainReport, TrainError> {
-        let mut source = MaterializedSource {
-            inner: IndexStepSource::new(train_idx, self.config()),
-            materialize: Box::new(|idx| dataset.batch(idx)),
+        validate: &mut dyn FnMut() -> f32,
+    ) -> Result<TrainReport, TrainError>
+    where
+        M: Module + ?Sized,
+        P: Send,
+    {
+        let mut source = IndexStepSource {
+            train_idx,
+            batch_size: self.config().batch_size,
+            seed: self.config().seed,
+            materialize,
+            iter: None,
         };
         with_device(self.config().device, || {
-            fit_replicated(
+            fit_epochs(
                 self.config(),
                 model,
                 factory,
-                &classifier_loss,
+                loss_fn,
                 &mut source,
-                &mut || 1.0 - self.evaluate_classifier(model, dataset, val_idx),
+                validate,
                 None,
             )
         })
+    }
+
+    /// Data-parallel [`Trainer::fit_classifier`]: `config.replicas`
+    /// replica slots — slot 0 on the calling thread with `model`, the
+    /// others on worker threads with models built by `factory` — each
+    /// batch sharded contiguously across them, gradients averaged per
+    /// step. `model` stays canonical — validation, early stopping, and
+    /// the returned weights all live on it. With `replicas = 1` the
+    /// result is bit-identical to [`Trainer::fit_classifier`].
+    ///
+    /// # Errors
+    /// If a replica slot fails (panic in the model's forward, state
+    /// broadcast rejected).
+    pub fn fit_classifier_replicated(
+        &self,
+        model: &(dyn RasterClassifier + 'static),
+        factory: &(dyn Fn(usize) -> Box<dyn RasterClassifier> + Sync),
+        dataset: &RasterDataset,
+        train_idx: &[usize],
+        val_idx: &[usize],
+    ) -> Result<TrainReport, TrainError> {
+        self.fit_indexed(
+            model,
+            Some(factory),
+            &classifier_loss,
+            &|idx| dataset.batch(idx),
+            train_idx,
+            &mut || 1.0 - self.evaluate_classifier(model, dataset, val_idx),
+        )
     }
 
     /// Data-parallel [`Trainer::fit_grid`] — see
     /// [`Trainer::fit_classifier_replicated`] for the protocol.
     ///
     /// # Errors
-    /// If a replica worker fails.
+    /// If a replica slot fails.
     pub fn fit_grid_replicated(
         &self,
-        model: &(dyn geotorch_models::GridModel + 'static),
-        factory: &(dyn Fn(usize) -> Box<dyn geotorch_models::GridModel> + Sync),
-        dataset: &geotorch_datasets::StGridDataset,
+        model: &(dyn GridModel + 'static),
+        factory: &(dyn Fn(usize) -> Box<dyn GridModel> + Sync),
+        dataset: &StGridDataset,
         train_idx: &[usize],
         val_idx: &[usize],
     ) -> Result<TrainReport, TrainError> {
-        let mut source = MaterializedSource {
-            inner: IndexStepSource::new(train_idx, self.config()),
-            materialize: Box::new(|idx| dataset.batch(idx)),
-        };
-        with_device(self.config().device, || {
-            fit_replicated(
-                self.config(),
-                model,
-                factory,
-                &grid_loss,
-                &mut source,
-                &mut || self.evaluate_grid(model, dataset, val_idx).0,
-                None,
-            )
-        })
+        self.fit_indexed(
+            model,
+            Some(factory),
+            &grid_loss,
+            &|idx| dataset.batch(idx),
+            train_idx,
+            &mut || self.evaluate_grid(model, dataset, val_idx).0,
+        )
     }
 
     /// Train on a [`BatchStream`] with MSE loss and K data-parallel
     /// replicas: each step deals up to K consecutive stream batches, one
-    /// per replica. `make_stream` rebuilds the stream per epoch (wrap it
-    /// in a `PrefetchLoader` to overlap formatting with training);
-    /// `forward` maps a feature batch through the model; `on_improve`
-    /// fires while the canonical model holds the post-average weights of
-    /// the best epoch so far — the place to take atomic checkpoints.
+    /// per replica slot (slot 0 runs on the calling thread with `model`).
+    /// `make_stream` rebuilds the stream per epoch (wrap it in a
+    /// `PrefetchLoader` to overlap formatting with training); `forward`
+    /// maps a feature batch through the model; `on_improve` fires while
+    /// the canonical model holds the post-average weights of the best
+    /// epoch so far — the place to take atomic checkpoints.
     ///
     /// # Errors
     /// If the stream fails mid-epoch (spill read, injected prefetch
-    /// fault) or a replica worker fails. The epoch is abandoned cleanly:
+    /// fault) or a replica slot fails. The epoch is abandoned cleanly:
     /// workers are joined and no partial optimizer step is taken.
     pub fn fit_stream<M: Module + ?Sized>(
         &self,
@@ -652,17 +617,38 @@ impl Trainer {
             let pred = forward(m, &Var::constant(batch.0.clone()));
             mse_loss(&pred, &Var::constant(batch.1.clone()))
         };
-        let mut source = StreamStepSource::new(make_stream, self.config());
+        let mut source = StreamStepSource {
+            make: make_stream,
+            stream: None,
+        };
         with_device(self.config().device, || {
-            fit_replicated(
+            fit_epochs(
                 self.config(),
                 model,
-                factory,
+                Some(factory),
                 &loss,
                 &mut source,
                 validate,
                 on_improve,
             )
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_grads_averages_accumulated_sum() {
+        let p = Var::parameter(Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        p.seed_grad(Tensor::from_vec(vec![4.0, -8.0], &[2]));
+        scale_grads(std::slice::from_ref(&p), 0.25);
+        let g = p.grad().expect("gradient survives scaling");
+        assert_eq!(g.as_slice(), &[1.0, -2.0]);
+        // Parameters without a gradient are left untouched.
+        let q = Var::parameter(Tensor::zeros(&[2]));
+        scale_grads(std::slice::from_ref(&q), 0.5);
+        assert!(q.grad().is_none());
     }
 }

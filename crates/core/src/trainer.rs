@@ -1,19 +1,17 @@
-//! The training loop: batching, optimisation, validation-based early
-//! stopping, and evaluation — implementing the paper's §V-C protocol.
+//! The training front-end: configuration, reports, the per-family
+//! losses, and evaluation — implementing the paper's §V-C protocol.
 //!
-//! The three model families (grid, classifier, segmenter) share one
-//! epoch driver, [`Trainer::fit_loop`], so optimizer cadence, gradient
-//! clipping, early stopping, and telemetry behave identically across
-//! them; each `fit_*` front-end only supplies the per-batch loss and the
-//! validation metric.
+//! Every `fit_*` entry point runs the one epoch driver in
+//! [`crate::replica`], so optimizer cadence, gradient clipping, early
+//! stopping, and telemetry behave identically across the three model
+//! families (grid, classifier, segmenter). `fit_grid`, `fit_classifier`
+//! and `fit_segmenter` are its single-replica calls: each supplies only
+//! the per-batch loss and the validation metric.
 
-use std::time::Instant;
-
-use geotorch_datasets::{BatchIndices, RasterDataset, StBatch, StGridDataset};
+use geotorch_datasets::{BatchIndices, RasterBatchData, RasterDataset, StBatch, StGridDataset};
 use geotorch_models::{GridInput, GridModel, RasterClassifier, Segmenter};
 use geotorch_nn::loss::{bce_with_logits_loss, cross_entropy_loss, mse_loss};
-use geotorch_nn::optim::{Adam, Optimizer};
-use geotorch_nn::{Module, Var};
+use geotorch_nn::Var;
 use geotorch_tensor::{with_device, Device, Tensor};
 
 use crate::metrics;
@@ -57,8 +55,9 @@ pub struct TrainConfig {
     /// Data-parallel model replicas for the `fit_*_replicated` /
     /// `fit_stream` entry points (see [`crate::replica`]). Each step is
     /// sharded across this many replicas and their gradients averaged
-    /// before one optimizer step; `1` reproduces the classic trainer
-    /// bit-for-bit. The classic `fit_*` entry points ignore this field.
+    /// before one optimizer step; `1` reproduces the single-replica
+    /// trainer bit-for-bit. `fit_grid`, `fit_classifier` and
+    /// `fit_segmenter` ignore this field and always run one replica.
     pub replicas: usize,
 }
 
@@ -165,117 +164,14 @@ impl Trainer {
         with_device(self.config.device, f)
     }
 
-    // --------------------------------------------------- shared driver
-
-    /// Clip (if configured), step, and clear gradients.
-    fn clip_and_step(&self, optimizer: &mut Adam) {
-        if let Some(max_norm) = self.config.gradient_clip {
-            geotorch_nn::schedule::clip_grad_norm(optimizer.parameters(), max_norm);
-        }
-        optimizer.step();
-        optimizer.zero_grad();
-    }
-
-    /// The epoch driver shared by all three `fit_*` entry points.
-    ///
-    /// `forward_loss` maps one batch's sample indices to the loss node
-    /// (the driver runs `backward` and the optimizer cadence);
-    /// `validate` produces the per-epoch validation metric, lower better.
-    fn fit_loop<M: Module + ?Sized>(
-        &self,
-        model: &M,
-        train_idx: &[usize],
-        forward_loss: &mut dyn FnMut(&[usize]) -> Var,
-        validate: &mut dyn FnMut() -> f32,
-    ) -> TrainReport {
-        let mut optimizer = Adam::new(model.parameters(), self.config.learning_rate);
-        let mut report = empty_report();
-        let mut best = f32::INFINITY;
-        let mut best_state: Option<Vec<Tensor>> = None;
-        let mut stale = 0usize;
-        for epoch in 0..self.config.epochs {
-            model.set_training(true);
-            let start = Instant::now();
-            let mut epoch_loss = 0.0;
-            let mut batches = 0usize;
-            let mut samples = 0usize;
-            {
-                let _epoch_t = geotorch_telemetry::scope!("core.trainer.epoch");
-                let iter = BatchIndices::shuffled(
-                    train_idx,
-                    self.config.batch_size,
-                    self.config.seed.wrapping_add(epoch as u64),
-                );
-                for batch_idx in iter {
-                    let loss = forward_loss(&batch_idx);
-                    epoch_loss += loss.value().item();
-                    batches += 1;
-                    samples += batch_idx.len();
-                    loss.backward();
-                    // Release the tape before stepping: graph nodes hold
-                    // clones of the parameter values, and while those are
-                    // alive the optimizer's in-place update has to
-                    // copy-on-write every parameter buffer.
-                    drop(loss);
-                    if self.config.update_mode == UpdateMode::Incremental {
-                        self.clip_and_step(&mut optimizer);
-                    }
-                }
-                if self.config.update_mode == UpdateMode::Cumulative && batches > 0 {
-                    // The tape accumulated a gradient *sum* over all batches;
-                    // average it so the single step matches the magnitude of
-                    // an Incremental step instead of scaling with the number
-                    // of batches in the epoch.
-                    scale_grads(optimizer.parameters(), 1.0 / batches as f32);
-                    self.clip_and_step(&mut optimizer);
-                }
-            }
-            let secs = start.elapsed().as_secs_f64();
-            report.epoch_seconds.push(secs);
-            report
-                .samples_per_sec
-                .push(if secs > 0.0 { samples as f64 / secs } else { 0.0 });
-            report
-                .train_losses
-                .push(if batches > 0 { epoch_loss / batches as f32 } else { 0.0 });
-            report.epochs_run = epoch + 1;
-            geotorch_telemetry::count!("core.trainer.epochs", 1);
-            geotorch_telemetry::count!("core.trainer.samples", samples);
-
-            let val = validate();
-            report.val_metrics.push(val);
-            if val + 1e-6 < best {
-                best = val;
-                best_state = Some(model.state_dict());
-                stale = 0;
-            } else {
-                stale += 1;
-                if let Some(patience) = self.config.early_stopping_patience {
-                    if stale >= patience {
-                        report.stop_reason = StopReason::EarlyStopped {
-                            epoch: epoch + 1,
-                            patience,
-                        };
-                        break;
-                    }
-                }
-            }
-        }
-        // Restore the best-on-validation weights (the paper's protocol
-        // evaluates the converged model, not the last epoch).
-        if let Some(state) = best_state {
-            model
-                .load_state_dict(&state)
-                .expect("state dict snapshot of the same model always matches");
-        }
-        stamp_host(&mut report);
-        report
-    }
-
     // --------------------------------------------------------- grid
 
     /// Train a grid model on chronological train/val splits of `dataset`
     /// (which must already carry the representation the model expects).
+    ///
+    /// # Panics
+    /// If the model's forward or loss panics; the new panic carries its
+    /// message.
     pub fn fit_grid(
         &self,
         model: &dyn GridModel,
@@ -283,18 +179,15 @@ impl Trainer {
         train_idx: &[usize],
         val_idx: &[usize],
     ) -> TrainReport {
-        self.on_device(|| {
-            self.fit_loop(
-                model,
-                train_idx,
-                &mut |batch_idx| {
-                    let batch = dataset.batch(batch_idx);
-                    let (input, target) = grid_io(&batch);
-                    mse_loss(&model.forward(&input), &target)
-                },
-                &mut || self.evaluate_grid_inner(model, dataset, val_idx).0,
-            )
-        })
+        self.fit_indexed(
+            model,
+            None,
+            &grid_loss,
+            &|idx| dataset.batch(idx),
+            train_idx,
+            &mut || self.evaluate_grid(model, dataset, val_idx).0,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// `(MAE, RMSE)` of a grid model over the given samples (normalised
@@ -305,38 +198,35 @@ impl Trainer {
         dataset: &StGridDataset,
         indices: &[usize],
     ) -> (f32, f32) {
-        self.on_device(|| self.evaluate_grid_inner(model, dataset, indices))
-    }
-
-    fn evaluate_grid_inner(
-        &self,
-        model: &dyn GridModel,
-        dataset: &StGridDataset,
-        indices: &[usize],
-    ) -> (f32, f32) {
-        model.set_training(false);
-        let mut preds = Vec::new();
-        let mut targets = Vec::new();
-        for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
-            let batch = dataset.batch(&batch_idx);
-            let (input, target) = grid_io(&batch);
-            // Evaluation never calls backward; skip building the tape.
-            preds.push(geotorch_nn::no_grad(|| model.forward(&input).value()));
-            targets.push(target.value());
-        }
-        if preds.is_empty() {
-            return (f32::NAN, f32::NAN);
-        }
-        let p_refs: Vec<&Tensor> = preds.iter().collect();
-        let t_refs: Vec<&Tensor> = targets.iter().collect();
-        let p = Tensor::concat(&p_refs, 0);
-        let t = Tensor::concat(&t_refs, 0);
-        (metrics::mae(&p, &t), metrics::rmse(&p, &t))
+        self.on_device(|| {
+            model.set_training(false);
+            let mut preds = Vec::new();
+            let mut targets = Vec::new();
+            for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
+                let batch = dataset.batch(&batch_idx);
+                let (input, target) = grid_io(&batch);
+                // Evaluation never calls backward; skip building the tape.
+                preds.push(geotorch_nn::no_grad(|| model.forward(&input).value()));
+                targets.push(target.value());
+            }
+            if preds.is_empty() {
+                return (f32::NAN, f32::NAN);
+            }
+            let p_refs: Vec<&Tensor> = preds.iter().collect();
+            let t_refs: Vec<&Tensor> = targets.iter().collect();
+            let p = Tensor::concat(&p_refs, 0);
+            let t = Tensor::concat(&t_refs, 0);
+            (metrics::mae(&p, &t), metrics::rmse(&p, &t))
+        })
     }
 
     // ------------------------------------------------- classification
 
     /// Train a raster classifier with cross-entropy.
+    ///
+    /// # Panics
+    /// If the model's forward or loss panics; the new panic carries its
+    /// message.
     pub fn fit_classifier(
         &self,
         model: &dyn RasterClassifier,
@@ -344,21 +234,16 @@ impl Trainer {
         train_idx: &[usize],
         val_idx: &[usize],
     ) -> TrainReport {
-        self.on_device(|| {
-            self.fit_loop(
-                model,
-                train_idx,
-                &mut |batch_idx| {
-                    let batch = dataset.batch(batch_idx);
-                    let x = Var::constant(batch.x);
-                    let features = batch.features.map(Var::constant);
-                    let logits = model.forward(&x, features.as_ref());
-                    cross_entropy_loss(&logits, &batch.labels)
-                },
-                // Validation metric: 1 - accuracy (lower is better).
-                &mut || 1.0 - self.evaluate_classifier_inner(model, dataset, val_idx),
-            )
-        })
+        self.fit_indexed(
+            model,
+            None,
+            &classifier_loss,
+            &|idx| dataset.batch(idx),
+            train_idx,
+            // Validation metric: 1 - accuracy (lower is better).
+            &mut || 1.0 - self.evaluate_classifier(model, dataset, val_idx),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Accuracy of a classifier over the given samples.
@@ -368,39 +253,37 @@ impl Trainer {
         dataset: &RasterDataset,
         indices: &[usize],
     ) -> f32 {
-        self.on_device(|| self.evaluate_classifier_inner(model, dataset, indices))
-    }
-
-    fn evaluate_classifier_inner(
-        &self,
-        model: &dyn RasterClassifier,
-        dataset: &RasterDataset,
-        indices: &[usize],
-    ) -> f32 {
-        model.set_training(false);
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
-            let batch = dataset.batch(&batch_idx);
-            let x = Var::constant(batch.x);
-            let features = batch.features.map(Var::constant);
-            let logits =
-                geotorch_nn::no_grad(|| model.forward(&x, features.as_ref()).value());
-            // Exact integer counts — reconstructing them from a per-batch
-            // accuracy float loses precision on large batches.
-            correct += metrics::correct_count(&logits, &batch.labels);
-            total += batch.labels.len();
-        }
-        if total == 0 {
-            f32::NAN
-        } else {
-            correct as f32 / total as f32
-        }
+        self.on_device(|| {
+            model.set_training(false);
+            let mut correct = 0usize;
+            let mut total = 0usize;
+            for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
+                let batch = dataset.batch(&batch_idx);
+                let x = Var::constant(batch.x);
+                let features = batch.features.map(Var::constant);
+                let logits =
+                    geotorch_nn::no_grad(|| model.forward(&x, features.as_ref()).value());
+                // Exact integer counts — reconstructing them from a
+                // per-batch accuracy float loses precision on large
+                // batches.
+                correct += metrics::correct_count(&logits, &batch.labels);
+                total += batch.labels.len();
+            }
+            if total == 0 {
+                f32::NAN
+            } else {
+                correct as f32 / total as f32
+            }
+        })
     }
 
     // --------------------------------------------------- segmentation
 
     /// Train a segmentation model with BCE-with-logits on the masks.
+    ///
+    /// # Panics
+    /// If the model's forward or loss panics; the new panic carries its
+    /// message.
     pub fn fit_segmenter(
         &self,
         model: &dyn Segmenter,
@@ -408,19 +291,15 @@ impl Trainer {
         train_idx: &[usize],
         val_idx: &[usize],
     ) -> TrainReport {
-        self.on_device(|| {
-            self.fit_loop(
-                model,
-                train_idx,
-                &mut |batch_idx| {
-                    let batch = dataset.batch(batch_idx);
-                    let x = Var::constant(batch.x);
-                    let masks = Var::constant(batch.masks.expect("segmentation dataset"));
-                    bce_with_logits_loss(&model.forward(&x), &masks)
-                },
-                &mut || 1.0 - self.evaluate_segmenter_inner(model, dataset, val_idx),
-            )
-        })
+        self.fit_indexed(
+            model,
+            None,
+            &segmenter_loss,
+            &|idx| dataset.batch(idx),
+            train_idx,
+            &mut || 1.0 - self.evaluate_segmenter(model, dataset, val_idx),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Pixel accuracy of a segmenter over the given samples.
@@ -430,66 +309,47 @@ impl Trainer {
         dataset: &RasterDataset,
         indices: &[usize],
     ) -> f32 {
-        self.on_device(|| self.evaluate_segmenter_inner(model, dataset, indices))
-    }
-
-    fn evaluate_segmenter_inner(
-        &self,
-        model: &dyn Segmenter,
-        dataset: &RasterDataset,
-        indices: &[usize],
-    ) -> f32 {
-        model.set_training(false);
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
-            let batch = dataset.batch(&batch_idx);
-            let x = Var::constant(batch.x);
-            let masks = batch.masks.expect("segmentation dataset");
-            let logits = geotorch_nn::no_grad(|| model.forward(&x).value());
-            // Weight by pixel count: averaging per-batch accuracies
-            // unweighted over-weights a ragged final batch.
-            correct += metrics::pixel_correct_count(&logits, &masks);
-            total += logits.len();
-        }
-        if total == 0 {
-            f32::NAN
-        } else {
-            correct as f32 / total as f32
-        }
+        self.on_device(|| {
+            model.set_training(false);
+            let mut correct = 0usize;
+            let mut total = 0usize;
+            for batch_idx in BatchIndices::new(indices, self.config.batch_size) {
+                let batch = dataset.batch(&batch_idx);
+                let x = Var::constant(batch.x);
+                let masks = batch.masks.expect("segmentation dataset");
+                let logits = geotorch_nn::no_grad(|| model.forward(&x).value());
+                // Weight by pixel count: averaging per-batch accuracies
+                // unweighted over-weights a ragged final batch.
+                correct += metrics::pixel_correct_count(&logits, &masks);
+                total += logits.len();
+            }
+            if total == 0 {
+                f32::NAN
+            } else {
+                correct as f32 / total as f32
+            }
+        })
     }
 }
 
-/// An all-zero [`TrainReport`] for an about-to-run fit.
-pub(crate) fn empty_report() -> TrainReport {
-    TrainReport {
-        train_losses: Vec::new(),
-        val_metrics: Vec::new(),
-        epochs_run: 0,
-        epoch_seconds: Vec::new(),
-        samples_per_sec: Vec::new(),
-        stop_reason: StopReason::MaxEpochs,
-        host_cores: 0,
-        pool_high_water_bytes: 0,
-    }
+/// MSE of a grid model's prediction against the batch target.
+pub(crate) fn grid_loss(model: &(dyn GridModel + '_), batch: &StBatch) -> Var {
+    let (input, target) = grid_io(batch);
+    mse_loss(&model.forward(&input), &target)
 }
 
-/// Stamp the host core count and the tensor-pool high-water mark into a
-/// finished report.
-pub(crate) fn stamp_host(report: &mut TrainReport) {
-    report.host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    report.pool_high_water_bytes = geotorch_tensor::pool::stats().high_water_bytes;
+/// Cross-entropy of a classifier's logits against the batch labels.
+pub(crate) fn classifier_loss(model: &(dyn RasterClassifier + '_), batch: &RasterBatchData) -> Var {
+    let x = Var::constant(batch.x.clone());
+    let features = batch.features.clone().map(Var::constant);
+    cross_entropy_loss(&model.forward(&x, features.as_ref()), &batch.labels)
 }
 
-/// Replace each parameter's accumulated gradient with `grad * scale`.
-pub(crate) fn scale_grads(params: &[Var], scale: f32) {
-    for p in params {
-        if let Some(g) = p.grad() {
-            let scaled = g.mul_scalar(scale);
-            p.zero_grad();
-            p.seed_grad(scaled);
-        }
-    }
+/// BCE-with-logits of a segmenter's output against the batch masks.
+pub(crate) fn segmenter_loss(model: &(dyn Segmenter + '_), batch: &RasterBatchData) -> Var {
+    let x = Var::constant(batch.x.clone());
+    let masks = Var::constant(batch.masks.clone().expect("segmentation dataset"));
+    bce_with_logits_loss(&model.forward(&x), &masks)
 }
 
 /// Map a dataset batch to the model input and the `[B, C, H, W]` target.
@@ -737,19 +597,6 @@ mod tests {
                 "1-batch epochs must match: incremental {inc:?} vs cumulative {cum:?}"
             );
         }
-    }
-
-    #[test]
-    fn scale_grads_averages_accumulated_sum() {
-        let p = Var::parameter(Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        p.seed_grad(Tensor::from_vec(vec![4.0, -8.0], &[2]));
-        scale_grads(std::slice::from_ref(&p), 0.25);
-        let g = p.grad().expect("gradient survives scaling");
-        assert_eq!(g.as_slice(), &[1.0, -2.0]);
-        // Parameters without a gradient are left untouched.
-        let q = Var::parameter(Tensor::zeros(&[2]));
-        scale_grads(std::slice::from_ref(&q), 0.5);
-        assert!(q.grad().is_none());
     }
 
     #[test]

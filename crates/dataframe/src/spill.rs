@@ -414,20 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_spilled_bytes_in_telemetry() {
-        geotorch_telemetry::reset();
-        geotorch_telemetry::set_enabled(true);
-        let store = SpillStore::from_frame(tmpdir("telemetry"), &df()).unwrap();
-        geotorch_telemetry::set_enabled(false);
-        let snap = geotorch_telemetry::snapshot();
-        let stat = snap
-            .iter()
-            .find(|s| s.name == "dataframe.spill_bytes")
-            .expect("spill_bytes counter");
-        assert_eq!(stat.count, store.spilled_bytes());
-    }
-
-    #[test]
     fn truncated_file_is_rejected_not_misread() {
         let dir = tmpdir("truncate");
         let store = SpillStore::from_frame(&dir, &df()).unwrap();

@@ -986,11 +986,7 @@ fn run_batch(
                 }
             }
             Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "forward pass panicked".to_string());
+                let msg = geotorch_telemetry::panic_message(panic);
                 let err = ServeError::Internal(format!("forward pass panicked: {msg}"));
                 for request in members {
                     answer(request, Err(err.clone()));

@@ -379,9 +379,32 @@ pub fn snapshot_markdown() -> String {
     out
 }
 
+/// The message a caught panic carries: the `String` or `&str` payload of
+/// `panic!`, or `"unknown panic"` for any other payload. Used wherever a
+/// worker thread turns a `catch_unwind` result into an error value.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or_else(|| "unknown panic".to_string(), |s| (*s).to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).expect_err("f panics");
+        assert_eq!(panic_message(caught(|| panic!("static text"))), "static text");
+        assert_eq!(panic_message(caught(|| panic!("formatted {}", 7))), "formatted 7");
+        assert_eq!(
+            panic_message(caught(|| std::panic::panic_any(42u8))),
+            "unknown panic"
+        );
+    }
 
     /// Telemetry state is process-global; serialise tests that toggle it.
     fn serial() -> std::sync::MutexGuard<'static, ()> {

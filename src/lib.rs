@@ -154,8 +154,7 @@ pub mod train {
     pub use geotorch_core::metrics;
     pub use geotorch_core::trainer::grid_io;
     pub use geotorch_core::{
-        IndexStepSource, StepSource, StopReason, StreamStepSource, TrainConfig, TrainError,
-        TrainReport, Trainer, UpdateMode,
+        StopReason, TrainConfig, TrainError, TrainReport, Trainer, UpdateMode,
     };
 }
 
